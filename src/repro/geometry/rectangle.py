@@ -295,9 +295,16 @@ class RectSet:
         ``points`` has shape ``(m, d)``; the result has shape ``(n, m)``.
         """
         pts = np.asarray(points, dtype=float)
-        lo_ok = np.all(self._lo[:, None, :] <= pts[None, :, :], axis=2)
-        hi_ok = np.all(pts[None, :, :] <= self._hi[:, None, :], axis=2)
-        return lo_ok & hi_ok
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points must have shape (m, {self.dim}), "
+                             f"got {pts.shape}")
+        # One (n, m) comparison per axis, as in the containment matrix.
+        lo, hi = self._lo, self._hi
+        result = (lo[:, 0, None] <= pts[:, 0]) & (pts[:, 0] <= hi[:, 0, None])
+        for axis in range(1, self.dim):
+            result &= lo[:, axis, None] <= pts[:, axis]
+            result &= pts[:, axis] <= hi[:, axis, None]
+        return result
 
     def expand(self, eps: float) -> "RectSet":
         """Epsilon-expansion of every box (see :meth:`Rect.expand`)."""

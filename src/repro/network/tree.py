@@ -60,6 +60,7 @@ class BrokerTree:
         for v in range(1, pos.shape[0]):
             self._children[par[v]].append(v)
 
+        self._root_first_order = tuple(self._topological_order())
         self._down_latency = self._compute_down_latencies()
         self._leaves = np.array(
             [v for v in range(1, pos.shape[0]) if not self._children[v]], dtype=int)
@@ -74,10 +75,8 @@ class BrokerTree:
         self._leaves.setflags(write=False)
 
     def _compute_down_latencies(self) -> np.ndarray:
-        n = self.num_nodes
-        order = self._topological_order()
-        latency = np.zeros(n)
-        for v in order[1:]:
+        latency = np.zeros(self.num_nodes)
+        for v in self._root_first_order[1:]:
             p = self._parents[v]
             latency[v] = latency[p] + float(
                 np.linalg.norm(self._positions[v] - self._positions[p]))
@@ -134,6 +133,11 @@ class BrokerTree:
     @property
     def parents(self) -> np.ndarray:
         return self._parents
+
+    @property
+    def root_first_order(self) -> tuple[int, ...]:
+        """Every node id, each parent before its children (publisher first)."""
+        return self._root_first_order
 
     def children(self, node: int) -> list[int]:
         return list(self._children[node])

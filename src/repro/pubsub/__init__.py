@@ -4,8 +4,9 @@ from .events import EventDistribution, PiecewiseUniformEvents, UniformEvents
 from .filters import Filter
 from .matching import BruteForceMatcher, GridMatcher, Matcher, best_matcher
 from .rtree import RTreeMatcher
-from .simulator import (SimulationResult, root_first_order,
-                        sample_event_stream, simulate_dissemination)
+from .routing import RoutingPlan
+from .simulator import (SimulationResult, sample_event_stream,
+                        simulate_dissemination)
 
 __all__ = [
     "Filter",
@@ -17,8 +18,8 @@ __all__ = [
     "GridMatcher",
     "RTreeMatcher",
     "best_matcher",
+    "RoutingPlan",
     "SimulationResult",
-    "root_first_order",
     "sample_event_stream",
     "simulate_dissemination",
 ]

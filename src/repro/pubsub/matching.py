@@ -98,18 +98,25 @@ class GridMatcher:
         # with one matrix product (matches _flatten's digit order).
         self._strides = resolution ** np.arange(self._dim - 1, -1, -1)
 
-        # cells[flat_index] -> array of subscription ids intersecting the cell
-        buckets: dict[int, list[int]] = {}
+        # cells[flat_index] -> ascending ids of the subscriptions whose
+        # cell range covers the cell.  Each subscription contributes one
+        # (cell, id) pair per covered cell; a stable sort by cell keeps
+        # the ids ascending within each bucket.
         lo_cells = self._cell_coords(subscriptions.lo)
-        hi_cells = self._cell_coords(subscriptions.hi)
-        for sub_id in range(len(subscriptions)):
-            ranges = [range(lo_cells[sub_id, axis], hi_cells[sub_id, axis] + 1)
-                      for axis in range(self._dim)]
-            for cell in np.ndindex(*[len(r) for r in ranges]):
-                coords = tuple(ranges[axis][cell[axis]] for axis in range(self._dim))
-                flat = self._flatten(coords)
-                buckets.setdefault(flat, []).append(sub_id)
-        self._buckets = {k: np.array(v, dtype=int) for k, v in buckets.items()}
+        spans = self._cell_coords(subscriptions.hi) - lo_cells + 1
+        sizes = spans.prod(axis=1)
+        ids = np.repeat(np.arange(len(subscriptions)), sizes)
+        offset = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes,
+                                                 sizes)
+        flat = np.zeros(len(ids), dtype=int)
+        for axis in range(self._dim - 1, -1, -1):
+            span = spans[ids, axis]
+            flat += (lo_cells[ids, axis] + offset % span) * self._strides[axis]
+            offset //= span
+        order = np.argsort(flat, kind="stable")
+        cells, starts = np.unique(flat[order], return_index=True)
+        self._buckets = dict(zip(cells.tolist(),
+                                 np.split(ids[order], starts[1:])))
 
     def _cell_coords(self, points: np.ndarray) -> np.ndarray:
         rel = (np.asarray(points, dtype=float) - self._domain.lo) / self._cell_size
@@ -145,16 +152,15 @@ class GridMatcher:
         flat = self._cell_coords(pts) @ self._strides
         order = np.argsort(flat, kind="stable")
         sorted_flat = flat[order]
-        boundaries = np.flatnonzero(
-            np.r_[True, sorted_flat[1:] != sorted_flat[:-1]])
-        for start, stop in zip(boundaries,
-                               np.r_[boundaries[1:], len(sorted_flat)]):
+        cuts = (np.flatnonzero(sorted_flat[1:] != sorted_flat[:-1])
+                + 1).tolist()
+        for start, stop in zip([0, *cuts], [*cuts, len(sorted_flat)]):
             bucket = self._buckets.get(int(sorted_flat[start]))
             if bucket is None:
                 continue
             cell_events = order[start:stop]
             mask = self._subs.take(bucket).contains_points(pts[cell_events])
-            out[np.ix_(bucket, cell_events)] = mask
+            out[bucket[:, None], cell_events] = mask
         return out
 
 

@@ -26,13 +26,14 @@ from typing import Any
 import numpy as np
 
 from ..geometry import RectSet
-from ..network.tree import PUBLISHER, BrokerTree
+from ..network.tree import BrokerTree
 from .events import EventDistribution
 from .filters import Filter
 from .matching import Matcher, best_matcher
+from .routing import RoutingPlan
 
 __all__ = ["SimulationResult", "sample_event_stream", "simulate_dissemination",
-           "root_first_order", "SIMULATION_SCHEMA_VERSION"]
+           "SIMULATION_SCHEMA_VERSION"]
 
 #: Schema version stamped into JSON exports (matches the runtime's), so
 #: serve/runtime/bench outputs are uniformly parseable.
@@ -162,23 +163,24 @@ def simulate_dissemination(tree: BrokerTree,
                            matcher: Matcher | None = None) -> SimulationResult:
     """Publish sampled events and measure traffic, deliveries, and misses.
 
-    The hot path is fully batched: each chunk's per-node entry masks come
-    from one stacked ``RectSet.contains_points`` call over every filter
-    rectangle (a segmented ``logical_or`` recovers per-filter masks), and
-    per-subscriber deliveries come from one ``matcher.match_points``
-    matrix instead of a brute-force scan per leaf.  Results are
-    bit-identical for any matcher that agrees with the brute-force
-    oracle and for any ``chunk_size`` (given a chunk-stable event
-    distribution): all counts are integer sums over the same boolean
-    matrices, and the latency total is computed once from the final
-    delivery counts.
+    The hot path is fully batched: each chunk's per-node entry masks and
+    per-subscriber reach come from one
+    :class:`~repro.pubsub.routing.RoutingPlan` pass over every filter, and
+    per-subscriber matches from one ``matcher.match_points`` matrix.
+    Results are bit-identical for any matcher that agrees with the
+    brute-force oracle and for any ``chunk_size`` (given a chunk-stable
+    event distribution): all counts are integer sums over the same
+    boolean matrices, and the latency total is computed once from the
+    final delivery counts.
 
     Parameters
     ----------
     filters:
         Filter per broker node id (every non-publisher node must appear).
     assignment:
-        ``assignment[j]`` = leaf *node id* serving subscriber ``j``.
+        ``assignment[j]`` = leaf *node id* serving subscriber ``j``, or -1
+        for an inactive subscriber (counted neither delivered nor missed).
+        Any other entry raises :class:`ValueError`.
     subscriber_points:
         Optional network positions of subscribers; when given, delivery
         latency includes the last hop from the leaf to the subscriber.
@@ -187,77 +189,37 @@ def simulate_dissemination(tree: BrokerTree,
         :func:`~repro.pubsub.matching.best_matcher` over the event
         domain.
     """
-    num_nodes = tree.num_nodes
-    for node in range(1, num_nodes):
-        if node not in filters:
-            raise ValueError(f"missing filter for broker node {node}")
-
+    plan = RoutingPlan(tree, filters)
     num_subscribers = len(subscriptions)
     assignment = np.asarray(assignment, dtype=int)
     if assignment.shape != (num_subscribers,):
         raise ValueError("assignment must map every subscriber to a leaf node")
+    active = assignment >= 0
+    deliver = bool(active.any())
 
-    # Group subscribers by their leaf for delivery checks.
-    subs_by_leaf: dict[int, np.ndarray] = {}
-    for leaf in tree.leaves:
-        members = np.flatnonzero(assignment == leaf)
-        if len(members):
-            subs_by_leaf[int(leaf)] = members
-
-    # Per-subscriber full path latency (publisher -> leaf -> subscriber) is
-    # fixed by the assignment; computed once.
-    node_entries = np.zeros(num_nodes, dtype=np.int64)
+    node_entries = np.zeros(tree.num_nodes, dtype=np.int64)
     deliveries = np.zeros(num_subscribers, dtype=np.int64)
     missed = np.zeros(num_subscribers, dtype=np.int64)
     total_latency = 0.0
-
-    order = root_first_order(tree)
-    if subs_by_leaf and matcher is None:
+    if deliver and matcher is None:
         matcher = best_matcher(subscriptions, distribution.domain)
-
-    # Stack every (non-empty) filter's rectangles into one RectSet so a
-    # chunk's containment against *all* filters is a single matrix op; a
-    # segmented logical_or then recovers each filter's any-rect mask.
-    stack_nodes = [node for node in order[1:] if not filters[node].is_empty()]
-    stacked: RectSet | None = None
-    if stack_nodes:
-        stacked = RectSet(
-            np.concatenate([filters[n].rects.lo for n in stack_nodes]),
-            np.concatenate([filters[n].rects.hi for n in stack_nodes]),
-            validate=False)
-        starts = np.cumsum([0] + [len(filters[n].rects)
-                                  for n in stack_nodes])[:-1]
-        stack_row = {node: i for i, node in enumerate(stack_nodes)}
 
     remaining = num_events
     while remaining > 0:
         batch = min(chunk_size, remaining)
         remaining -= batch
         events = distribution.sample(rng, batch)
-
-        entered = np.zeros((num_nodes, batch), dtype=bool)
-        entered[PUBLISHER] = True
-        if stacked is not None:
-            in_filter = np.logical_or.reduceat(
-                stacked.contains_points(events), starts, axis=0)
-            for node in order[1:]:
-                row = stack_row.get(node)
-                if row is None:
-                    continue  # empty filter: the node never enters
-                parent = int(tree.parents[node])
-                entered[node] = entered[parent] & in_filter[row]
+        _, entered = plan.entries(events)
         node_entries += entered.sum(axis=1)
-
-        if subs_by_leaf:
+        if deliver:
             match = matcher.match_points(events)  # (num_subscribers, batch)
-            for leaf, members in subs_by_leaf.items():
-                matches = match[members]
-                delivered = matches & entered[leaf][None, :]
-                deliveries[members] += delivered.sum(axis=1)
-                missed[members] += (matches
-                                    & ~entered[leaf][None, :]).sum(axis=1)
-        # Matching events assigned to leaves their event never reached are
-        # counted above; subscribers of *unassigned* leaves can't miss.
+            delivered = plan.reach(entered, assignment)
+            delivered &= match
+            counts = delivered.sum(axis=1)
+            deliveries += counts
+            # Inactive (-1) subscribers are reached by nothing and so
+            # cannot miss either.
+            missed += (match.sum(axis=1) - counts) * active
 
     # Delivery latency: every delivered event takes the fixed assigned path
     # publisher -> leaf (-> subscriber, when positions are known).
@@ -274,15 +236,3 @@ def simulate_dissemination(tree: BrokerTree,
                             deliveries=deliveries,
                             missed=missed,
                             total_delivery_latency=total_latency)
-
-
-def root_first_order(tree: BrokerTree) -> list[int]:
-    """Node ids in a parent-before-child order (publisher first)."""
-    order = [PUBLISHER]
-    stack = [PUBLISHER]
-    while stack:
-        node = stack.pop()
-        for child in tree.children(node):
-            order.append(child)
-            stack.append(child)
-    return order

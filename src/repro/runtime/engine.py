@@ -47,8 +47,8 @@ from ..network.tree import PUBLISHER, BrokerTree
 from ..pubsub.events import EventDistribution
 from ..pubsub.filters import Filter
 from ..pubsub.matching import Matcher, best_matcher
-from ..pubsub.simulator import (SimulationResult, root_first_order,
-                                sample_event_stream)
+from ..pubsub.routing import RoutingPlan
+from ..pubsub.simulator import SimulationResult, sample_event_stream
 from .telemetry import Telemetry
 
 __all__ = ["RuntimeConfig", "RuntimeResult", "DisseminationEngine",
@@ -257,9 +257,7 @@ class DisseminationEngine:
         self.config = config or RuntimeConfig()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
 
-        for node in range(1, tree.num_nodes):
-            if node not in filters:
-                raise ValueError(f"missing filter for broker node {node}")
+        self._plan = RoutingPlan(tree, filters)
         self._filters = dict(filters)
 
         self._subscriptions = subscriptions
@@ -267,7 +265,7 @@ class DisseminationEngine:
         if assignment.shape != (len(subscriptions),):
             raise ValueError("assignment must map every subscriber to a leaf "
                              "node id (or -1 for inactive)")
-        self._assignment = assignment
+        self._assignment = self._plan.check(assignment)
         if subscriber_points is not None:
             pts = np.asarray(subscriber_points, dtype=float)
             if pts.shape[0] != len(subscriptions):
@@ -299,13 +297,9 @@ class DisseminationEngine:
             self._delivery_members: np.ndarray | None = members
             self._member_mask: np.ndarray | None = np.zeros(m, dtype=bool)
             self._member_mask[members] = True
-            # Full index -> local matcher row (-1 outside the subgroup).
-            self._member_rows: np.ndarray | None = np.full(m, -1, dtype=int)
-            self._member_rows[members] = np.arange(len(members))
         else:
             self._delivery_members = None
             self._member_mask = None
-            self._member_rows = None
         self._defer_delivery_fold = bool(defer_delivery_fold)
         self._node_entries = np.zeros(tree.num_nodes, dtype=np.int64)
         self._deliveries = np.zeros(m, dtype=np.int64)
@@ -315,13 +309,11 @@ class DisseminationEngine:
         self._events: np.ndarray | None = None
         self._traces: list[Any] = []
 
-        # Epoch-mode machinery (see run()): a parent-before-child node
-        # order for level-wise matrix steps, a min-heap of pending
-        # control times (the epoch barriers), a watermark of publishes
-        # consumed by matrix blocks, and the per-(event, leaf) delivery
-        # latency groups accumulated in canonical order at run end so
-        # scalar and epoch stepping produce the identical float total.
-        self._order = root_first_order(tree)
+        # Epoch-mode machinery (see run()): a min-heap of pending control
+        # times (the epoch barriers), a watermark of publishes consumed
+        # by matrix blocks, and the per-(event, leaf) delivery latency
+        # groups accumulated in canonical order at run end so scalar and
+        # epoch stepping produce the identical float total.
         self._pending_controls: list[float] = []
         self._running = False
         self._published_through = 0
@@ -367,13 +359,14 @@ class DisseminationEngine:
     def update_filters(self, filters: dict[int, Filter]) -> None:
         """Replace broker filters (e.g. after failover regrowth)."""
         self._filters.update(filters)
+        self._plan = RoutingPlan(self.tree, self._filters)
 
     def update_assignment(self, assignment: np.ndarray) -> None:
         """Replace the subscriber -> leaf assignment (churn, failover)."""
         assignment = np.asarray(assignment, dtype=int)
         if assignment.shape != self._assignment.shape:
             raise ValueError("assignment shape must not change mid-run")
-        self._assignment[:] = assignment
+        self._assignment[:] = self._plan.check(assignment)
 
     def set_failover(self, handler: Callable[
             ["DisseminationEngine", float, int], None] | None) -> None:
@@ -612,14 +605,15 @@ class DisseminationEngine:
         Semantics and bit-identity: under the epoch preconditions every
         action of event ``j`` happens at ``t_j = j * publish_interval``
         plus a chain of hop latencies, so the exact per-node arrival
-        times of a whole candidate block are one level-wise matrix
+        times of a whole candidate block are one root-first matrix
         recurrence (the identical float additions the scalar heap would
         perform).  The block is cut to the longest prefix whose events
         complete strictly *before* the next pending control time (and
         within ``max_duration``), so crash/recover/churn barriers see
-        exactly the scalar engine's state.  Counts are the same boolean
-        matrices summed; latency groups enter the same canonical
-        accumulator as the scalar path.
+        exactly the scalar engine's state.  Routing is one
+        :class:`~repro.pubsub.routing.RoutingPlan` pass under the current
+        alive mask; counts are the same boolean matrices summed; latency
+        groups enter the same canonical accumulator as the scalar path.
         """
         config = self.config
         tree = self.tree
@@ -627,7 +621,7 @@ class DisseminationEngine:
         t_vec = np.arange(k, end, dtype=np.int64) * config.publish_interval
         arrive = np.empty((tree.num_nodes, len(t_vec)))
         arrive[PUBLISHER] = t_vec
-        for node in self._order[1:]:
+        for node in tree.root_first_order[1:]:
             arrive[node] = (arrive[int(tree.parents[node])]
                             + self._hop[node])
         bound = arrive.max(axis=0)   # conservative: over all nodes
@@ -646,96 +640,70 @@ class DisseminationEngine:
         pts = self._events[k:k + n]
         t_vec = t_vec[:n]
         arrive = arrive[:, :n]
-        self._node_entries[PUBLISHER] += n
         self.telemetry.counter("events_published").inc(n)
 
         # Matcher rows are local to the delivery subgroup (the full
-        # population when unsharded); `_member_rows` maps full indices
-        # to rows so leaf member lookups stay over the global assignment.
+        # population when unsharded), and so are `rows` and `assignment`.
+        rows = (slice(None) if self._delivery_members is None
+                else self._delivery_members)
+        assignment = self._assignment[rows]
         match = self._epoch_matcher.match_points(pts)  # (rows, n) bool
-        active = self._assignment >= 0
-        if self._delivery_members is None:
-            if active.any():
-                self._matched += (match & active[:, None]).sum(axis=1)
-        else:
-            act = active[self._delivery_members]
-            if act.any():
-                self._matched[self._delivery_members] += (
-                    match & act[:, None]).sum(axis=1)
+        active = assignment >= 0
+        if active.any():
+            self._matched[rows] += (match & active[:, None]).sum(axis=1)
 
-        # Level-wise entry masks: an event arrives at a node iff it
-        # entered the (alive) parent and the node's filter contains it;
-        # arrivals at a crashed node are lost, not forwarded.
-        entered = np.zeros((tree.num_nodes, n), dtype=bool)
-        entered[PUBLISHER] = True
-        arrived_any = np.zeros((tree.num_nodes, n), dtype=bool)
-        entries = 0
-        lost = 0
-        for node in self._order[1:]:
-            parent = int(tree.parents[node])
-            if not entered[parent].any():
-                continue
-            arrived = entered[parent] & self._filters[node].contains_points(pts)
-            count = int(arrived.sum())
-            if count == 0:
-                continue
-            arrived_any[node] = arrived
-            if self._brokers[node].alive:
-                entered[node] = arrived
-                self._node_entries[node] += count
-                entries += count
-            else:
-                lost += count
+        # Arrivals at a crashed node are lost, not forwarded.
+        arrived, entered = self._plan.entries(pts, self.alive_mask)
+        counts = entered.sum(axis=1)
+        self._node_entries += counts
+        entries = int(counts[1:].sum())
+        lost = int(arrived[1:].sum()) - entries
         if entries:
             self.telemetry.counter("broker_entries").inc(entries)
         if lost:
             self.telemetry.counter("events_lost_crashed").inc(lost)
 
-        delivered_total = 0
-        for leaf in tree.leaves:
-            leaf = int(leaf)
-            col = entered[leaf]
-            if not col.any():
-                continue
-            members = np.flatnonzero(self._assignment == leaf)
-            if self._member_mask is not None:
-                members = members[self._member_mask[members]]
-            if len(members) == 0:
-                continue
-            rows = (members if self._member_rows is None
-                    else self._member_rows[members])
-            delivered = match[rows] & col[None, :]
-            counts = delivered.sum(axis=1)
-            self._deliveries[members] += counts
-            if not counts.any():
-                continue
-            delivered_total += int(counts.sum())
-            hop = None
-            if self._subscriber_points is not None:
-                hop = np.linalg.norm(
-                    tree.positions[leaf] - self._subscriber_points[members],
-                    axis=1)
-            for i in range(n):
-                mask = delivered[:, i]
-                receivers = int(mask.sum())
-                if receivers == 0:
-                    continue
-                latency = np.full(receivers,
-                                  float(arrive[leaf, i]) - float(t_vec[i]))
-                if hop is not None:
-                    latency = latency + hop[mask]
-                self._delivery_groups.append(
-                    (k + i, leaf, members[mask], latency))
-        if delivered_total:
-            self.telemetry.counter("deliveries").inc(delivered_total)
+        delivered = self._plan.reach(entered, assignment)
+        delivered &= match
+        counts = delivered.sum(axis=1)
+        self._deliveries[rows] += counts
+        if counts.any():
+            self.telemetry.counter("deliveries").inc(int(counts.sum()))
+            self._group_deliveries(k, delivered, assignment, arrive, t_vec)
 
         # Advance the clock to the block's last *processed* action: the
         # final publish, or the latest arrival that actually happened.
-        completion = float(t_vec[-1])
-        if arrived_any.any():
-            completion = max(completion, float(arrive[arrived_any].max()))
-        self._now = max(self._now, completion)
+        self._now = max(self._now, float(t_vec[-1]),
+                        float(arrive[arrived].max()))
         self._published_through = k + n
+
+    def _group_deliveries(self, k: int, delivered: np.ndarray,
+                          assignment: np.ndarray, arrive: np.ndarray,
+                          t_vec: np.ndarray) -> None:
+        """Append an epoch block's latency groups, one per (event, leaf).
+
+        ``delivered`` is the block's ``(rows, n)`` delivery matrix over
+        the local rows that ``assignment`` maps to leaves.  Groups come
+        out in canonical (event, leaf, subscriber) order, with the same
+        float operations as :meth:`_deliver`.
+        """
+        event, row = np.nonzero(delivered.T)   # event-major, rows ascending
+        leaf = assignment[row]
+        order = np.lexsort((row, leaf, event))
+        event, row, leaf = event[order], row[order], leaf[order]
+        receivers = (row if self._delivery_members is None
+                     else self._delivery_members[row])
+        latency = arrive[leaf, event] - t_vec[event]
+        if self._subscriber_points is not None:
+            latency = latency + np.linalg.norm(
+                self.tree.positions[leaf]
+                - self._subscriber_points[receivers], axis=1)
+        cuts = np.flatnonzero((np.diff(event) != 0)
+                              | (np.diff(leaf) != 0)) + 1
+        bounds = [0, *cuts.tolist(), len(event)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            self._delivery_groups.append((k + int(event[a]), int(leaf[a]),
+                                          receivers[a:b], latency[a:b]))
 
     def _forward(self, node: int, k: int, time: float) -> None:
         """Send event ``k`` from ``node`` to each matching child."""

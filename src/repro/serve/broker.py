@@ -31,9 +31,10 @@ import numpy as np
 
 from ..core.problem import SAProblem
 from ..dynamic.manager import DynamicPubSub
-from ..network.tree import PUBLISHER, BrokerTree
+from ..network.tree import BrokerTree
 from ..pubsub.filters import Filter
 from ..pubsub.matching import best_matcher
+from ..pubsub.routing import RoutingPlan
 from ..shard import ShardedMatcher, ShardPlan, plan_shards, replan_shards
 
 __all__ = ["DeliveryQueue", "RoutingTable", "LiveBroker"]
@@ -106,60 +107,26 @@ class RoutingTable:
     respect to re-assignment without any locking on the hot path.
     """
 
-    __slots__ = ("version", "tree", "filters", "assignment")
+    __slots__ = ("version", "assignment", "_plan")
 
     def __init__(self, version: int, tree: BrokerTree,
                  filters: dict[int, Filter], assignment: np.ndarray):
         self.version = version
-        self.tree = tree
-        self.filters = dict(filters)
         assignment = np.asarray(assignment, dtype=int).copy()
         assignment.setflags(write=False)
         self.assignment = assignment
+        self._plan = RoutingPlan(tree, filters)
 
-    def route(self, point: np.ndarray) -> tuple[list[int], set[int]]:
-        """Walk the tree; return (entered broker nodes, reached leaves)."""
-        entered: list[int] = []
-        reached: set[int] = set()
-        stack = [PUBLISHER]
-        while stack:
-            node = stack.pop()
-            for child in self.tree.children(node):
-                if not self.filters[child].contains_point(point):
-                    continue
-                entered.append(child)
-                if self.tree.is_leaf(child):
-                    reached.add(child)
-                else:
-                    stack.append(child)
-        return entered, reached
+    def route(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Route a batch of points: ``(entered, reach)``.
 
-    def route_batch(self, points: np.ndarray
-                    ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """Batched :meth:`route`: walk the tree once with surviving masks.
-
-        Returns ``(entered, reached)`` — each a mapping from node id to
-        a boolean column over the event batch.  Equivalent to calling
-        :meth:`route` per point, but each edge costs one vectorized
-        filter containment over the surviving events.
+        ``entered`` is the ``(num_nodes, n)`` matrix of events entering
+        each node (the publisher's row is all true); ``reach`` is the
+        ``(num_subscribers, n)`` matrix of events reaching each
+        subscriber's leaf (nothing reaches an inactive subscriber).
         """
-        pts = np.asarray(points, dtype=float)
-        entered: dict[int, np.ndarray] = {}
-        reached: dict[int, np.ndarray] = {}
-        stack: list[tuple[int, np.ndarray]] = [
-            (PUBLISHER, np.ones(pts.shape[0], dtype=bool))]
-        while stack:
-            node, mask = stack.pop()
-            for child in self.tree.children(node):
-                sub = mask & self.filters[child].contains_points(pts)
-                if not sub.any():
-                    continue
-                entered[child] = sub
-                if self.tree.is_leaf(child):
-                    reached[child] = sub
-                else:
-                    stack.append((child, sub))
-        return entered, reached
+        _, entered = self._plan.entries(points)
+        return entered, self._plan.reach(entered, self.assignment)
 
 
 class LiveBroker:
@@ -283,52 +250,20 @@ class LiveBroker:
                              f" coordinates, got shape {pt.shape}")
         if not np.all(np.isfinite(pt)):
             raise ValueError("event point coordinates must be finite")
-
-        table = self._routing
-        entered, reached = table.route(pt)
-        self.node_entries[PUBLISHER] += 1
-        for node in entered:
-            self.node_entries[node] += 1
-        self.published += 1
-
-        matched = self._matcher.match_point(pt)
-        assignment = table.assignment
-        matched = matched[assignment[matched] >= 0]
-        delivered = 0
-        dropped = 0
-        for j in matched:
-            j = int(j)
-            if assignment[j] not in reached:
-                self.missed += 1
-                continue
-            queue = self._queues.get(j)
-            if queue is None:  # unsubscribed after the snapshot was taken
-                self.missed += 1
-                continue
-            if queue.offer((pt, sent_at, event_id)):
-                self.deliveries[j] += 1
-                delivered += 1
-            else:
-                self.drops[j] += 1
-                dropped += 1
-        self.matched += int(len(matched))
-        return {"matched": int(len(matched)), "delivered": delivered,
-                "dropped": dropped,
-                "missed": int(len(matched)) - delivered - dropped}
+        return self._publish(pt[None, :], sent_at, [event_id])
 
     def publish_batch(self, points: Any, *, sent_at: float | None = None,
                       event_ids: list[Any] | None = None) -> dict[str, int]:
         """Route a batch of events through one routing-table snapshot.
 
-        Counts are exactly the sum of per-event :meth:`publish` calls,
-        but the whole batch pays one batched tree walk
-        (:meth:`RoutingTable.route_batch`) and one ``match_points``
-        matrix instead of a Python loop per event.  Being synchronous,
-        the batch is atomic with respect to churn from the event loop's
-        point of view — it reads a single table snapshot.
+        Counts and queue contents are exactly those of per-event
+        :meth:`publish` calls, but the whole batch pays one routing pass
+        and one ``match_points`` matrix.  Being synchronous, the batch is
+        atomic with respect to churn from the event loop's point of
+        view — it reads a single table snapshot.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
+        if pts.shape == (0,):
             pts = pts.reshape(0, self._problem.event_dim)
         if pts.ndim != 2 or pts.shape[1] != self._problem.event_dim:
             raise ValueError(f"event points must have shape (n, "
@@ -337,44 +272,41 @@ class LiveBroker:
             raise ValueError("event point coordinates must be finite")
         if event_ids is not None and len(event_ids) != pts.shape[0]:
             raise ValueError("need one event id per point")
+        summary = self._publish(pts, sent_at, event_ids
+                                or [None] * pts.shape[0])
+        summary["events"] = pts.shape[0]
+        return summary
 
+    def _publish(self, pts: np.ndarray, sent_at: float | None,
+                 event_ids: list[Any]) -> dict[str, int]:
+        """Account and enqueue validated ``(n, event_dim)`` points."""
         table = self._routing
-        num_events = pts.shape[0]
-        entered, reached = table.route_batch(pts)
-        self.node_entries[PUBLISHER] += num_events
-        for node, mask in entered.items():
-            self.node_entries[node] += int(mask.sum())
-        self.published += num_events
+        entered, reach = table.route(pts)
+        self.node_entries += entered.sum(axis=1)
+        self.published += pts.shape[0]
 
-        match = self._matcher.match_points(pts)  # (m, num_events)
-        assignment = table.assignment
-        match &= (assignment >= 0)[:, None]
-        matched_total = int(match.sum())
+        match = self._matcher.match_points(pts)  # (m, n)
+        match &= (table.assignment >= 0)[:, None]
+        matched = int(match.sum())
+        reach &= match
         delivered = 0
         dropped = 0
-        for i in range(num_events):
-            event_id = event_ids[i] if event_ids is not None else None
-            for j in np.flatnonzero(match[:, i]):
-                j = int(j)
-                leaf_mask = reached.get(int(assignment[j]))
-                if leaf_mask is None or not leaf_mask[i]:
-                    self.missed += 1
-                    continue
-                queue = self._queues.get(j)
-                if queue is None:  # unsubscribed after the snapshot
-                    self.missed += 1
-                    continue
-                if queue.offer((pts[i], sent_at, event_id)):
-                    self.deliveries[j] += 1
-                    delivered += 1
-                else:
-                    self.drops[j] += 1
-                    dropped += 1
-        self.matched += matched_total
-        return {"matched": matched_total, "delivered": delivered,
-                "dropped": dropped,
-                "missed": matched_total - delivered - dropped,
-                "events": num_events}
+        missed = matched - int(reach.sum())
+        # Event-major, subscriber-ascending: each queue sees event order.
+        for i, j in zip(*np.nonzero(reach.T)):
+            queue = self._queues.get(int(j))
+            if queue is None:  # unsubscribed after the snapshot
+                missed += 1
+            elif queue.offer((pts[i], sent_at, event_ids[i])):
+                self.deliveries[j] += 1
+                delivered += 1
+            else:
+                self.drops[j] += 1
+                dropped += 1
+        self.matched += matched
+        self.missed += missed
+        return {"matched": matched, "delivered": delivered,
+                "dropped": dropped, "missed": missed}
 
     # -- re-optimization -----------------------------------------------------
 

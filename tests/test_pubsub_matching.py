@@ -60,6 +60,23 @@ class TestGridMatcher:
         assert np.array_equal(grid.match_points(points),
                               brute.match_points(points))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_buckets_match_per_subscription_loop(self, dim):
+        # Reference: walk every cell of each subscription's clamped cell
+        # range, subscription by subscription.
+        rng = np.random.default_rng(dim)
+        lo = rng.uniform(-10, 95, size=(80, dim))
+        subs = RectSet(lo, lo + rng.uniform(0, 30, size=(80, dim)))
+        grid = GridMatcher(subs, Rect([0] * dim, [100] * dim), resolution=6)
+        lo_cells = grid._cell_coords(subs.lo)
+        hi_cells = grid._cell_coords(subs.hi)
+        expected: dict[int, list[int]] = {}
+        for j in range(len(subs)):
+            for cell in np.ndindex(*(hi_cells[j] - lo_cells[j] + 1)):
+                flat = grid._flatten(tuple(lo_cells[j] + np.array(cell)))
+                expected.setdefault(flat, []).append(j)
+        assert {k: v.tolist() for k, v in grid._buckets.items()} == expected
+
     def test_invalid_resolution(self):
         subs = RectSet(np.zeros((1, 2)), np.ones((1, 2)))
         with pytest.raises(ValueError):

@@ -89,21 +89,13 @@ class TestBrokerBatch:
         with pytest.raises(ValueError):
             broker.publish_batch([[1.0]])  # wrong dimensionality
         with pytest.raises(ValueError):
+            broker.publish_batch([[]])  # one point without coordinates
+        with pytest.raises(ValueError):
+            broker.publish_batch([[], []])
+        with pytest.raises(ValueError):
             broker.publish_batch([[np.nan] * problem.event_dim])
         with pytest.raises(ValueError):
             broker.publish_batch(event_batch(problem, 3), event_ids=[1, 2])
-
-    def test_route_batch_matches_scalar_route(self, problem):
-        broker = make_broker(problem)
-        table = broker.routing
-        pts = event_batch(problem, 50, seed=3)
-        entered_cols, reached_cols = table.route_batch(pts)
-        for i, p in enumerate(pts):
-            entered, reached = table.route(p)
-            batch_entered = {n for n, col in entered_cols.items() if col[i]}
-            batch_reached = {n for n, col in reached_cols.items() if col[i]}
-            assert batch_entered == set(entered)
-            assert batch_reached == reached
 
     def test_backpressure_accounting_matches(self, problem):
         # A tiny queue overflows identically on either path.
@@ -182,6 +174,8 @@ class TestGatewayBatch:
             async with client:
                 with pytest.raises(ServeError):
                     await client.request("publish_batch", points="nope")
+                with pytest.raises(ServeError):
+                    await client.request("publish_batch", points=[[]])
                 with pytest.raises(ServeError):
                     await client.request("publish_batch",
                                          points=[[1.0, 2.0]],
