@@ -70,7 +70,6 @@ def run_one(m: int, aggregate: int, seed: int) -> dict:
         "lp_calls": solution.info["lp_calls"],
         "aggregated_levels": solution.info.get("aggregated_levels", 0),
         "aggregated_groups": solution.info.get("aggregated_groups", 0),
-        "lp_workspace": solution.info["lp_workspace"],
     }
 
 

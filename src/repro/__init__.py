@@ -75,11 +75,8 @@ from .runtime import (
 )
 from .shard import (
     ShardPlan,
-    ShardRun,
     plan_shards,
     replan_shards,
-    run_dissemination,
-    simulate_sharded,
 )
 from .workloads import (
     GoogleGroupsConfig,
@@ -115,8 +112,7 @@ __all__ = [
     "DisseminationEngine", "RuntimeConfig", "RuntimeResult",
     "BrokerOutage", "FaultPlan", "GreedyFailover", "apply_fault_plan",
     "ReplayConfig", "replay_churn", "Telemetry",
-    "ShardPlan", "ShardRun", "plan_shards", "replan_shards",
-    "run_dissemination", "simulate_sharded",
+    "ShardPlan", "plan_shards", "replan_shards",
     "Workload", "one_level_problem", "multilevel_problem",
     "GoogleGroupsConfig", "generate_google_groups",
     "RssConfig", "generate_rss", "GridConfig", "generate_grid",

@@ -1,7 +1,7 @@
 """Determinism rules (DET0xx): seed discipline, clocks, iteration order.
 
 Every oracle in this repository (runtime-vs-simulator equality, the
-parallel-vs-serial bench, the property suite's replayable case ids)
+batch-vs-scalar event planes, the property suite's replayable case ids)
 assumes that the same seed produces the same bits.  These rules flag the
 source-level constructs that silently break that contract:
 

@@ -25,7 +25,6 @@ from ..core.problem import SAProblem
 from ..core.registry import get_algorithm
 from ..metrics.report import SolutionReport, evaluate_solution
 from ..perf.cache import geometry_cache
-from ..perf.parallel import BenchCell, run_cells
 
 __all__ = ["AlgorithmRun", "run_algorithms", "average_reports",
            "json_output_dir", "write_bench_json", "runs_payload",
@@ -47,26 +46,13 @@ class AlgorithmRun:
 
 def run_algorithms(problem: SAProblem, names: Iterable[str],
                    kwargs: Mapping[str, Mapping[str, object]] | None = None,
-                   workers: int | None = None) -> list[AlgorithmRun]:
+                   ) -> list[AlgorithmRun]:
     """Run the named algorithms on one problem and evaluate each solution.
 
     ``kwargs`` optionally maps an algorithm name to extra keyword
-    arguments (e.g. ``{"SLP1": {"seed": 3}}``).  ``workers`` > 1 fans
-    the algorithms across a process pool (each algorithm is one cell of
-    :func:`repro.perf.parallel.run_cells`); results are identical to the
-    serial run because nothing random is shared between cells.
+    arguments (e.g. ``{"SLP1": {"seed": 3}}``).
     """
     kwargs = kwargs or {}
-    names = list(names)
-    if workers is not None and workers > 1 and len(names) > 1:
-        cells = [BenchCell(algorithm=name,
-                           kwargs=tuple(sorted(dict(kwargs.get(name, {}))
-                                               .items())))
-                 for name in names]
-        results = run_cells(problem, cells, workers=workers,
-                            include_solutions=True)
-        return [AlgorithmRun(name=res.algorithm, report=res.report,
-                             solution=res.solution) for res in results]
     runs = []
     for name in names:
         fn = get_algorithm(name)

@@ -88,12 +88,15 @@ from .metrics import evaluate_solution, runtime_report_rows, total_bandwidth
 from .perf.cache import geometry_cache
 from .perf.profiler import profiled
 from .perf.regression import calibrate, check_regression
-from .pubsub import UniformEvents
+from .pubsub import UniformEvents, simulate_dissemination
 from .runtime import (
     BrokerOutage,
+    DisseminationEngine,
     FaultPlan,
     ReplayConfig,
     RuntimeConfig,
+    apply_fault_plan,
+    replay_churn,
 )
 from .serve import (
     LoadGenConfig,
@@ -102,7 +105,6 @@ from .serve import (
     run_loadgen,
     write_loadgen_json,
 )
-from .shard import run_dissemination, simulate_sharded
 from .verify import (
     ALL_CHECKS,
     corrupt_latency,
@@ -175,17 +177,14 @@ def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
                              "super-subscriptions of at most N members "
                              "before the LP (0/1 disables; the scaling "
                              "mode for large m)")
-    parser.add_argument("--lp-workers", type=int, default=None, metavar="W",
-                        help="SLP variants: processes for decomposed LP "
-                             "blocks (default: serial)")
 
 
 def _algorithm_kwargs(args: argparse.Namespace, name: str) -> dict:
     """Keyword arguments for one registered algorithm.
 
-    Only the SLP variants are seeded/configurable; ``--aggregate`` and
-    ``--lp-workers`` are silently ignored for the greedy baselines, which
-    have no LP to aggregate or decompose.
+    Only the SLP variants are seeded/configurable; ``--aggregate`` is
+    silently ignored for the greedy baselines, which have no LP to
+    aggregate.
     """
     if name not in ("SLP1", "SLP"):
         return {}
@@ -193,9 +192,6 @@ def _algorithm_kwargs(args: argparse.Namespace, name: str) -> dict:
     aggregate = getattr(args, "aggregate", None)
     if aggregate is not None:
         kwargs["aggregation"] = AggregationConfig(max_group_size=aggregate)
-    lp_workers = getattr(args, "lp_workers", None)
-    if lp_workers is not None:
-        kwargs["lp_workers"] = lp_workers
     return kwargs
 
 
@@ -223,14 +219,12 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
     events = UniformEvents(workload.event_domain)
     rng = np.random.default_rng(args.seed)
-    if args.chunk_size < 1:
-        print("error: --chunk-size must be at least 1", file=sys.stderr)
-        return 2
     try:
-        result, _plan = simulate_sharded(
-            problem, solution.filters, solution.assignment, events, rng,
-            args.events, shards=args.shards, workers=args.shard_workers,
-            chunk_size=args.chunk_size)
+        result = simulate_dissemination(
+            problem.tree, solution.filters, solution.assignment,
+            problem.subscriptions, events, rng, num_events=args.events,
+            chunk_size=args.chunk_size,
+            subscriber_points=problem.subscriber_points)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -248,8 +242,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     if args.result_json:
         result.dump(args.result_json,
                     params={"algorithm": args.algorithm, "seed": args.seed,
-                            "chunk_size": args.chunk_size,
-                            "shards": args.shards})
+                            "chunk_size": args.chunk_size})
         print(f"result written to {args.result_json}")
     return 1 if result.missed.sum() else 0
 
@@ -335,36 +328,37 @@ def _command_runtime(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    failover = not args.no_failover
     try:
-        trace = None
-        replay_config = None
         if args.churn_horizon > 0:
             trace = generate_churn_trace(
                 problem.num_subscribers, args.churn_horizon,
                 np.random.default_rng(args.seed),
                 initial_active_fraction=args.initial_fraction,
                 arrival_rate=args.churn_rate, departure_rate=args.churn_rate)
-            replay_config = ReplayConfig(reopt_every=args.reopt_every,
-                                         reopt_algorithm=args.algorithm,
-                                         reopt_seed=args.seed)
-        run = run_dissemination(
-            problem, events, rng, args.events, config=config,
-            shards=args.shards, workers=args.shard_workers,
-            filters=None if trace is not None else solution.filters,
-            assignment=None if trace is not None else solution.assignment,
-            fault_plan=plan, failover=not args.no_failover,
-            trace=trace, replay_config=replay_config,
-            manager_seed=args.seed)
-        result = run.result
+            result, _system = replay_churn(
+                problem, trace, events, rng, args.events,
+                engine_config=config,
+                replay_config=ReplayConfig(reopt_every=args.reopt_every,
+                                           reopt_algorithm=args.algorithm,
+                                           reopt_seed=args.seed),
+                fault_plan=plan, failover=failover, manager_seed=args.seed)
+        else:
+            engine = DisseminationEngine(
+                problem.tree, solution.filters, solution.assignment,
+                problem.subscriptions, config=config,
+                subscriber_points=problem.subscriber_points)
+            if plan is not None:
+                apply_fault_plan(engine, plan,
+                                 problem if failover else None,
+                                 failover=failover)
+            result = engine.run(events, rng, args.events)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     rows = runtime_report_rows(result,
                                domain_measure=workload.event_domain.volume())
-    if run.plan is not None:
-        rows.append(["shards", run.plan.num_shards])
-        rows.append(["shard workers", run.workers])
     print(format_table(["metric", "value"], rows))
     if args.telemetry_json:
         result.telemetry.dump(args.telemetry_json)
@@ -372,8 +366,7 @@ def _command_runtime(args: argparse.Namespace) -> int:
     if args.result_json:
         result.dump(args.result_json,
                     params={"algorithm": args.algorithm, "seed": args.seed,
-                            "epoch_batch": args.epoch_batch,
-                            "shards": args.shards})
+                            "epoch_batch": args.epoch_batch})
         print(f"result written to {args.result_json}")
     if result.aborted:
         print(f"error: run aborted at simulated time {result.duration:.6g} "
@@ -462,7 +455,6 @@ def _command_profile(args: argparse.Namespace) -> int:
         "multilevel": bool(args.multilevel),
         "seed": args.seed,
         "aggregate": args.aggregate,
-        "lp_workers": args.lp_workers,
         "repeats": args.repeats,
         "total_seconds": best_elapsed,
         "calibration_seconds": calibration,
@@ -676,13 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--chunk-size", type=int, default=512,
                           help="events per vectorized chunk (1 = scalar "
                                "stepping; results are identical)")
-    simulate.add_argument("--shards", type=int, default=1,
-                          help="partition subscribers into N subgroups and "
-                               "simulate them in parallel (bit-identical "
-                               "to --shards 1)")
-    simulate.add_argument("--shard-workers", type=int, default=None,
-                          metavar="W", help="worker processes for sharded "
-                          "runs (default: min(shards, cores))")
     simulate.add_argument("--result-json", default=None, metavar="PATH",
                           help="export the simulation result as JSON")
     simulate.set_defaults(handler=_command_simulate)
@@ -725,15 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--churn-rate", type=float, default=10.0)
     runtime.add_argument("--initial-fraction", type=float, default=0.5)
     runtime.add_argument("--reopt-every", type=int, default=0)
-    runtime.add_argument("--shards", type=int, default=1,
-                         help="partition subscribers into N subgroups, one "
-                              "full engine replica each, merged "
-                              "deterministically (bit-identical to "
-                              "--shards 1; incompatible with "
-                              "--trace-events)")
-    runtime.add_argument("--shard-workers", type=int, default=None,
-                         metavar="W", help="worker processes for sharded "
-                         "runs (default: min(shards, cores))")
     runtime.add_argument("--trace-events", type=int, default=0,
                          help="record trace spans for the first N events")
     runtime.add_argument("--telemetry-json", default=None, metavar="PATH",

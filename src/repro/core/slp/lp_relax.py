@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from ...geometry import RectSet
-from ...perf.fastlp import active_lp_workspace, solve_bounded_lp
+from ...perf.fastlp import solve_bounded_lp
 from ...perf.profiler import span
 
 __all__ = ["LPOutcome", "lp_relax"]
@@ -207,12 +207,12 @@ def lp_relax(sub_rects: RectSet,
         a_ub, b_ub = _assemble_constraints(feasible, sb_mask, contain,
                                            num_y, u, pair_broker, pair_sub,
                                            kappas, alpha, beta, weights)
-    workspace = active_lp_workspace()
     with span("lp_solve"):
-        if workspace is not None:
-            result = workspace.solve(cost, a_ub, b_ub)
-        else:
-            result = solve_bounded_lp(cost, a_ub, b_ub)
+        # HiGHS reads the matrix column-major.  Converting here rather
+        # than inside solve_bounded_lp opens the stage well before the
+        # solver call, so tracers that nest spans by time attribute the
+        # call to this stage.
+        result = solve_bounded_lp(cost, a_ub.tocsc(), b_ub)
     if not result.success:
         return None
 

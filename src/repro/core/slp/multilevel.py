@@ -29,7 +29,6 @@ from typing import Any
 import numpy as np
 
 from ...perf.cache import geometry_cache
-from ...perf.fastlp import lp_workspace
 from ...perf.profiler import span
 from ..problem import SAProblem, SASolution, filters_from_assignment
 from .aggregate import AggregationConfig, distribute_aggregated
@@ -175,8 +174,7 @@ def _global_rebalance(problem: SAProblem, assignment: np.ndarray,
 
 def slp(problem: SAProblem, *, seed: int = 0, gamma: int = 0,
         config: FilterAssignConfig | None = None,
-        aggregation: AggregationConfig | None = None,
-        lp_workers: int | None = None) -> SASolution:
+        aggregation: AggregationConfig | None = None) -> SASolution:
     """Run multi-level SLP on an SA problem.
 
     ``gamma`` collapses the recursion: a node whose subscriber subset has
@@ -186,8 +184,7 @@ def slp(problem: SAProblem, *, seed: int = 0, gamma: int = 0,
 
     ``aggregation`` compresses each level's view into super-subscriptions
     before its LP (see :mod:`.aggregate`); sub-views at or below the
-    config's ``min_subscribers`` stay exact.  ``lp_workers`` fans
-    decomposed LP blocks across a process pool.
+    config's ``min_subscribers`` stay exact.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -251,14 +248,13 @@ def slp(problem: SAProblem, *, seed: int = 0, gamma: int = 0,
         for row, child in enumerate(children):
             recurse(child, members[targets == row])
 
-    with geometry_cache() as cache, lp_workspace(workers=lp_workers) as ws:
+    with geometry_cache() as cache:
         recurse(0, np.arange(m))
         with span("rebalance"):
             assignment = _global_rebalance(problem, assignment, info)
         with span("adjust"):
             filters = filters_from_assignment(problem, assignment, rng)
         info["geometry_cache"] = cache.stats()
-        info["lp_workspace"] = ws.stats()
 
     fractional = (info["fractional_sum"]
                   if info["fractional_levels"] else None)

@@ -26,7 +26,6 @@ import time
 import numpy as np
 
 from ...perf.cache import geometry_cache
-from ...perf.fastlp import lp_workspace
 from ...perf.profiler import span
 from ..problem import SAProblem, SASolution
 from .adjust import adjust_filters
@@ -40,8 +39,7 @@ __all__ = ["slp1"]
 
 def slp1(problem: SAProblem, *, seed: int = 0,
          config: FilterAssignConfig | None = None,
-         aggregation: AggregationConfig | None = None,
-         lp_workers: int | None = None) -> SASolution:
+         aggregation: AggregationConfig | None = None) -> SASolution:
     """Run SLP1 on a (one-level) SA problem.
 
     Also usable on a multi-level tree by treating every leaf as directly
@@ -52,19 +50,17 @@ def slp1(problem: SAProblem, *, seed: int = 0,
     ``aggregation`` enables subscription aggregation (see
     :mod:`.aggregate`); ``None`` keeps the exact unaggregated pipeline,
     and so does an identity config (``max_group_size <= 1`` or a view
-    below ``min_subscribers``) — bit-for-bit.  ``lp_workers`` fans
-    decomposed LP blocks across a process pool.
+    below ``min_subscribers``) — bit-for-bit.
 
-    The whole run shares one geometry cache and one LP workspace, so the
-    containment matrices FilterGen, LPRelax, the coverage/prune passes,
-    and the assignment compute over the same rectangle sets are each
-    computed once, and the LP solves share decomposition/memo state.
+    The whole run shares one geometry cache, so the containment matrices
+    FilterGen, LPRelax, the coverage/prune passes, and the assignment
+    compute over the same rectangle sets are each computed once.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     view = view_from_problem(problem)
 
-    with geometry_cache() as cache, lp_workspace(workers=lp_workers) as ws:
+    with geometry_cache() as cache:
         if aggregation is not None:
             dist = distribute_aggregated(view, rng, config, aggregation)
             target_of = dist.target_of
@@ -90,7 +86,6 @@ def slp1(problem: SAProblem, *, seed: int = 0,
         with span("adjust"):
             filters = adjust_filters(problem, assignment, rng)
         cache_stats = cache.stats()
-        lp_stats = ws.stats()
 
     info = {
         "algorithm": "SLP1",
@@ -100,7 +95,6 @@ def slp1(problem: SAProblem, *, seed: int = 0,
         "filter_assign": filter_assign_info,
         "assignment": assignment_info,
         "geometry_cache": cache_stats,
-        "lp_workspace": lp_stats,
     }
     if aggregation_info is not None:
         info["aggregation"] = aggregation_info

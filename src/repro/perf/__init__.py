@@ -1,6 +1,6 @@
-"""repro.perf — profiling, caching, parallelism, and perf-regression gates.
+"""repro.perf — profiling, caching, and perf-regression gates.
 
-Four pillars, each usable on its own:
+Three pillars, each usable on its own:
 
 * :mod:`.profiler` — named per-stage wall-clock spans threaded through
   the SLP pipeline; near-zero cost when inactive, JSON-exportable when a
@@ -9,20 +9,11 @@ Four pillars, each usable on its own:
   ``RectSet.containment_matrix`` / ``RectSet.volumes`` so FilterGen,
   LPRelax, the assignment passes, adjustment, and evaluation share the
   geometry they would otherwise recompute.
-* :mod:`.parallel` — a process-pool bench runner fanning independent
-  (algorithm x seed) cells with deterministic per-cell RNG spawning.
 * :mod:`.regression` — calibration-normalized comparison of profile
   payloads against committed baselines (the CI perf-smoke gate).
 """
 
 from .cache import GeometryCache, active_geometry_cache, geometry_cache
-from .parallel import (
-    BenchCell,
-    CellResult,
-    cell_matrix,
-    run_cells,
-    spawn_cell_seeds,
-)
 from .profiler import Profiler, StageStat, active_profiler, profiled, span
 from .regression import (
     RegressionReport,
@@ -40,11 +31,6 @@ __all__ = [
     "GeometryCache",
     "geometry_cache",
     "active_geometry_cache",
-    "BenchCell",
-    "CellResult",
-    "cell_matrix",
-    "run_cells",
-    "spawn_cell_seeds",
     "RegressionReport",
     "StageComparison",
     "calibrate",

@@ -16,50 +16,15 @@ confirm this empirically.
 The private scipy entry points are an implementation detail of the
 installed scipy; when any of them is missing the module transparently
 falls back to public ``linprog``.
-
-On top of the cold solver this module provides :class:`LPWorkspace`, a
-persistent solver context for the many LPs one SLP run produces:
-
-* **block decomposition** — the LPRelax matrix is block-diagonal
-  whenever latency feasibility splits the brokers into groups serving
-  disjoint subscriber sets (multi-level sub-problems do this
-  routinely).  The workspace finds the connected components of the
-  constraint pattern and solves each block independently — exact in
-  the objective, and much cheaper because LP cost is superlinear in
-  model size.  Blocks can fan out across ``perf.parallel`` workers;
-* **solution memoization** — solves are content-addressed (digest of
-  cost, matrix pattern/values, and rhs), so an identical model returns
-  the identical result without touching HiGHS;
-* **warm starts** — when the ``highspy`` bindings are installed the
-  workspace keeps a persistent ``Highs`` instance per model structure
-  and reuses the previous basis (simplex restarts from the old vertex
-  instead of from scratch).  The container this repo targets ships
-  scipy's embedded HiGHS only, so ``HIGHSPY_AVAILABLE`` is typically
-  False and the workspace falls back to the bit-identical direct path;
-  everything above still applies.
-
-Install it scoped, like the geometry cache::
-
-    with lp_workspace() as ws:
-        solution = slp1(problem, seed=1)
-    print(ws.stats())
 """
 
 from __future__ import annotations
 
-import hashlib
-from contextlib import contextmanager
-from typing import Any, Iterator
-
 import numpy as np
 from scipy.optimize import OptimizeResult, linprog
-from scipy.sparse import csc_array, csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csc_array
 
-from .profiler import span
-
-__all__ = ["solve_bounded_lp", "FAST_PATH_AVAILABLE", "HIGHSPY_AVAILABLE",
-           "LPWorkspace", "lp_workspace", "active_lp_workspace"]
+__all__ = ["solve_bounded_lp", "FAST_PATH_AVAILABLE"]
 
 try:  # scipy >= 1.15 layout; fall back to public linprog otherwise
     from scipy.optimize import _linprog_highs as _lh
@@ -94,14 +59,6 @@ try:  # scipy >= 1.15 layout; fall back to public linprog otherwise
     FAST_PATH_AVAILABLE = True
 except (ImportError, AttributeError):  # pragma: no cover - scipy drift
     FAST_PATH_AVAILABLE = False
-
-try:  # standalone HiGHS bindings enable true basis-reuse warm starts
-    import highspy  # noqa: F401
-
-    HIGHSPY_AVAILABLE = True
-except ImportError:
-    HIGHSPY_AVAILABLE = False
-
 
 def solve_bounded_lp(cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult:
     """``linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")``.
@@ -157,292 +114,3 @@ def solve_bounded_lp(cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult
         "nit": res.get("simplex_nit", 0) or res.get("ipm_nit", 0),
     })
 
-
-def _model_digest(cost: np.ndarray, a_ub: csr_matrix,
-                  b_ub: np.ndarray) -> bytes:
-    """Content digest of one bounded LP (cost, constraint matrix, rhs)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.asarray(a_ub.shape, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(cost, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(b_ub, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(a_ub.indptr, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(a_ub.indices, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(a_ub.data, dtype=np.float64).tobytes())
-    return h.digest()
-
-
-def split_lp_blocks(a_ub: csr_matrix) -> tuple[int, np.ndarray, np.ndarray]:
-    """Connected components of the constraint pattern.
-
-    Rows and columns belong to the same block when they share a nonzero;
-    independent blocks are independent LPs.  Returns ``(num_blocks,
-    row_labels, col_labels)``.  A zero column (variable in no
-    constraint) and an empty row (constraint over no variable) each
-    form their own singleton block.
-    """
-    num_rows, num_cols = a_ub.shape
-    coo = a_ub.tocoo()
-    size = num_rows + num_cols
-    # Bipartite adjacency over rows + columns (columns shifted past the
-    # rows); ``directed=False`` makes the one-sided edges symmetric.
-    from scipy.sparse import coo_matrix
-
-    graph = coo_matrix(
-        (np.ones(coo.nnz, dtype=np.int8), (coo.row, coo.col + num_rows)),
-        shape=(size, size)).tocsr()
-    num_blocks, labels = connected_components(graph, directed=False)
-    return num_blocks, labels[:num_rows], labels[num_rows:]
-
-
-class _WarmModel:
-    """Persistent highspy model with basis reuse (one per LP structure).
-
-    Only constructed when :data:`HIGHSPY_AVAILABLE`; the scipy-embedded
-    HiGHS that ships in this repo's target container exposes no basis
-    API, so the workspace normally never instantiates this class and
-    uses the bit-identical direct path instead.
-    """
-
-    def __init__(self) -> None:  # pragma: no cover - needs highspy
-        import highspy
-
-        self.highs = highspy.Highs()
-        self.highs.setOptionValue("output_flag", False)
-        self.loaded = False
-
-    def solve(self, cost: np.ndarray, a_ub: csr_matrix,
-              b_ub: np.ndarray) -> OptimizeResult:  # pragma: no cover
-        import highspy
-
-        n = cost.shape[0]
-        num_rows = a_ub.shape[0]
-        lp = highspy.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = num_rows
-        lp.col_cost_ = np.ascontiguousarray(cost, dtype=np.float64)
-        lp.col_lower_ = np.zeros(n)
-        lp.col_upper_ = np.ones(n)
-        lp.row_lower_ = np.full(num_rows, -highspy.kHighsInf)
-        lp.row_upper_ = np.ascontiguousarray(b_ub, dtype=np.float64)
-        csc = csc_array(a_ub)
-        lp.a_matrix_.start_ = csc.indptr
-        lp.a_matrix_.index_ = csc.indices
-        lp.a_matrix_.value_ = csc.data
-        if self.loaded:
-            basis = self.highs.getBasis()   # previous vertex, reused
-            self.highs.passModel(lp)
-            self.highs.setBasis(basis)
-        else:
-            self.highs.passModel(lp)
-            self.loaded = True
-        self.highs.run()
-        status = self.highs.getModelStatus()
-        solution = self.highs.getSolution()
-        optimal = status == highspy.HighsModelStatus.kOptimal
-        x = np.asarray(solution.col_value, dtype=np.float64) \
-            if optimal else None
-        fun = float(self.highs.getObjectiveValue()) if optimal else None
-        return OptimizeResult({
-            "x": x, "fun": fun, "slack": None,
-            "status": 0 if optimal else 2,
-            "message": str(status), "success": optimal, "nit": 0,
-        })
-
-
-class LPWorkspace:
-    """Persistent context for the LP solves of one SLP run.
-
-    ``decompose`` toggles block decomposition; ``workers`` > 1 fans
-    independent blocks across a process pool (serial by default — on a
-    single-core host pickling costs more than it saves).  ``memoize``
-    toggles the content-addressed solution memo.
-    """
-
-    #: Below this many columns a model is solved directly.  HiGHS dual
-    #: simplex clears LPRelax-shaped models of ~1000 columns in tens of
-    #: milliseconds, where each extra block's fixed setup outweighs the
-    #: superlinear savings (measured: a balanced 3-way split of a
-    #: 931x1329 model solves 25% *slower* than the whole model); the
-    #: crossover sits well past 10^3 columns.
-    MIN_DECOMPOSE_COLS = 2048
-
-    def __init__(self, *, decompose: bool = True, memoize: bool = True,
-                 workers: int | None = None,
-                 max_memo_entries: int = 256) -> None:
-        self.decompose = decompose
-        self.memoize = memoize
-        self.workers = workers
-        self.max_memo_entries = max_memo_entries
-        self._memo: dict[bytes, OptimizeResult] = {}
-        self._warm_models: dict[tuple[int, int, int], _WarmModel] = {}
-        self.stats_counters: dict[str, int] = {
-            "solves": 0,
-            "memo_hits": 0,
-            "decomposed_solves": 0,
-            "blocks_solved": 0,
-            "warm_solves": 0,
-        }
-
-    # -- public API -----------------------------------------------------
-
-    def solve(self, cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult:
-        """``solve_bounded_lp`` with memoization and block decomposition."""
-        self.stats_counters["solves"] += 1
-        a_csr = csr_matrix(a_ub)
-        key: bytes | None = None
-        if self.memoize:
-            key = _model_digest(cost, a_csr, b_ub)
-            hit = self._memo.get(key)
-            if hit is not None:
-                self.stats_counters["memo_hits"] += 1
-                return hit
-        result = self._solve_uncached(cost, a_csr, b_ub)
-        if key is not None:
-            if len(self._memo) >= self.max_memo_entries:
-                self._memo.pop(next(iter(self._memo)))  # FIFO
-            self._memo[key] = result
-        return result
-
-    def stats(self) -> dict[str, int]:
-        return dict(self.stats_counters)
-
-    # -- internals ------------------------------------------------------
-
-    def _solve_uncached(self, cost: np.ndarray, a_csr: csr_matrix,
-                        b_ub: np.ndarray) -> OptimizeResult:
-        if not self.decompose or a_csr.shape[1] < self.MIN_DECOMPOSE_COLS:
-            return self._solve_block(cost, a_csr, b_ub)
-        with span("lp_decompose"):
-            num_blocks, row_labels, col_labels = split_lp_blocks(a_csr)
-        if num_blocks <= 1:
-            return self._solve_block(cost, a_csr, b_ub)
-        # Decomposing only pays when the split genuinely shrinks the
-        # dominant solve: LP cost is superlinear in model size, but each
-        # block also pays HiGHS's fixed setup.  An imbalanced split (one
-        # block keeping most columns) saves almost nothing and adds that
-        # overhead per fragment, so it is solved whole.
-        largest = int(np.bincount(col_labels, minlength=num_blocks).max())
-        if largest > a_csr.shape[1] // 2:
-            return self._solve_block(cost, a_csr, b_ub)
-        return self._solve_decomposed(cost, a_csr, b_ub, num_blocks,
-                                      row_labels, col_labels)
-
-    def _solve_block(self, cost: np.ndarray, a_csr: csr_matrix,
-                     b_ub: np.ndarray) -> OptimizeResult:
-        if HIGHSPY_AVAILABLE:  # pragma: no cover - needs highspy
-            structure = (a_csr.shape[0], a_csr.shape[1], int(a_csr.nnz))
-            model = self._warm_models.get(structure)
-            if model is None:
-                model = self._warm_models[structure] = _WarmModel()
-            self.stats_counters["warm_solves"] += 1
-            return model.solve(cost, a_csr, b_ub)
-        return solve_bounded_lp(cost, a_csr, b_ub)
-
-    def _solve_decomposed(self, cost: np.ndarray, a_csr: csr_matrix,
-                          b_ub: np.ndarray, num_blocks: int,
-                          row_labels: np.ndarray,
-                          col_labels: np.ndarray) -> OptimizeResult:
-        self.stats_counters["decomposed_solves"] += 1
-        num_cols = a_csr.shape[1]
-        x = np.zeros(num_cols)
-        slack = np.zeros(a_csr.shape[0])
-        fun_parts: list[float] = []
-        nit = 0
-
-        # Singleton column blocks: a variable in no constraint sits at
-        # whichever bound minimizes its cost term (bounds are [0, 1]).
-        col_block_sizes = np.bincount(col_labels, minlength=num_blocks)
-        row_block_sizes = np.bincount(row_labels, minlength=num_blocks)
-
-        tasks: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for block in range(num_blocks):
-            cols = np.flatnonzero(col_labels == block)
-            rows = np.flatnonzero(row_labels == block)
-            if len(cols) == 0:
-                # Row-only block: constraint over no variable, 0 <= b.
-                if len(rows) and (b_ub[rows] < 0).any():
-                    return OptimizeResult({
-                        "x": None, "fun": None, "slack": None, "status": 2,
-                        "message": "empty constraint row with negative rhs",
-                        "success": False, "nit": 0})
-                slack[rows] = b_ub[rows]
-                continue
-            if len(rows) == 0:
-                free = cost[cols] < 0
-                x[cols] = np.where(free, 1.0, 0.0)
-                fun_parts.append(float(cost[cols][free].sum()))
-                continue
-            tasks.append((block, rows, cols))
-
-        solved = self._solve_block_tasks(cost, a_csr, b_ub, tasks)
-        for (block, rows, cols), result in zip(tasks, solved):
-            self.stats_counters["blocks_solved"] += 1
-            if not result.success:
-                return OptimizeResult({
-                    "x": None, "fun": None, "slack": None,
-                    "status": result.status, "message": result.message,
-                    "success": False, "nit": 0})
-            x[cols] = result.x
-            if result.slack is not None:
-                slack[rows] = result.slack
-            fun_parts.append(float(result.fun))
-            nit += int(result.get("nit", 0) or 0)
-
-        # Deterministic stitch: blocks accumulate in block-index order.
-        fun = float(np.asarray(fun_parts, dtype=np.float64).sum()) \
-            if fun_parts else 0.0
-        _ = col_block_sizes, row_block_sizes
-        return OptimizeResult({
-            "x": x, "fun": fun, "slack": slack, "status": 0,
-            "message": "Optimization terminated successfully. "
-                       f"(decomposed into {num_blocks} blocks)",
-            "success": True, "nit": nit})
-
-    def _solve_block_tasks(self, cost: np.ndarray, a_csr: csr_matrix,
-                           b_ub: np.ndarray,
-                           tasks: list[tuple[int, np.ndarray, np.ndarray]],
-                           ) -> list[OptimizeResult]:
-        subproblems = [(cost[cols], a_csr[rows][:, cols], b_ub[rows])
-                       for _block, rows, cols in tasks]
-        if self.workers and self.workers > 1 and len(subproblems) > 1:
-            from .parallel import run_tasks
-
-            return run_tasks(_solve_block_task, subproblems,
-                             workers=self.workers)
-        return [self._solve_block(c, csr_matrix(a), b)
-                for c, a, b in subproblems]
-
-
-def _solve_block_task(task: tuple[np.ndarray, Any, np.ndarray]) -> OptimizeResult:
-    """Worker entry point for one decomposed LP block (module-level)."""
-    c, a, b = task
-    return solve_bounded_lp(c, csr_matrix(a), b)
-
-
-#: The installed workspace; ``None`` keeps lp_relax on the cold path.
-_LP_WORKSPACE: LPWorkspace | None = None
-
-
-def active_lp_workspace() -> LPWorkspace | None:
-    """The workspace currently installed, if any."""
-    return _LP_WORKSPACE
-
-
-@contextmanager
-def lp_workspace(workspace: LPWorkspace | None = None,
-                 **kwargs: Any) -> Iterator[LPWorkspace]:
-    """Install an :class:`LPWorkspace` for the duration of the block.
-
-    Nested activations reuse the already-active workspace (and leave its
-    lifetime to the outermost block), mirroring ``geometry_cache``.
-    """
-    global _LP_WORKSPACE
-    if workspace is None and _LP_WORKSPACE is not None:
-        yield _LP_WORKSPACE
-        return
-    previous = _LP_WORKSPACE
-    _LP_WORKSPACE = workspace or LPWorkspace(**kwargs)
-    try:
-        yield _LP_WORKSPACE
-    finally:
-        _LP_WORKSPACE = previous

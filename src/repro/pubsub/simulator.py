@@ -189,6 +189,10 @@ def simulate_dissemination(tree: BrokerTree,
         :func:`~repro.pubsub.matching.best_matcher` over the event
         domain.
     """
+    if num_events < 0:
+        raise ValueError("num_events must be non-negative")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
     plan = RoutingPlan(tree, filters)
     num_subscribers = len(subscriptions)
     assignment = np.asarray(assignment, dtype=int)

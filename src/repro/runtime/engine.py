@@ -225,20 +225,6 @@ class DisseminationEngine:
     subscriber_points:
         Optional subscriber network positions; adds the leaf-to-subscriber
         last hop to delivery latency, matching the batch simulator.
-    delivery_members:
-        Optional subscriber indices this engine accounts deliveries for
-        (a shard's subgroup).  The *control plane* — forwarding, queues,
-        loss draws, faults, failover — is subscriber-independent and runs
-        in full; only matched/delivery counters and latency groups are
-        restricted, so summing disjoint shards reproduces the full run.
-    defer_delivery_fold:
-        Skip the run-end canonical latency fold (and the
-        ``missed_deliveries`` counter); a sharded run's parent performs
-        the one global fold over :meth:`drain_delivery_groups` instead.
-    epoch_matcher:
-        Pre-built matcher for epoch mode, rows over ``delivery_members``
-        (or the full population).  Shard workers inject a cover-filtered
-        one; ``None`` builds :func:`best_matcher` lazily.
     """
 
     def __init__(self,
@@ -249,10 +235,7 @@ class DisseminationEngine:
                  *,
                  config: RuntimeConfig | None = None,
                  subscriber_points: np.ndarray | None = None,
-                 telemetry: Telemetry | None = None,
-                 delivery_members: np.ndarray | None = None,
-                 defer_delivery_fold: bool = False,
-                 epoch_matcher: Matcher | None = None):
+                 telemetry: Telemetry | None = None):
         self.tree = tree
         self.config = config or RuntimeConfig()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -289,18 +272,6 @@ class DisseminationEngine:
         self._failover: Callable[["DisseminationEngine", float, int], None] | None = None
 
         m = len(subscriptions)
-        if delivery_members is not None:
-            members = np.unique(np.asarray(delivery_members, dtype=int))
-            if len(members) and (members[0] < 0 or members[-1] >= m):
-                raise ValueError("delivery_members must be valid subscriber "
-                                 "indices")
-            self._delivery_members: np.ndarray | None = members
-            self._member_mask: np.ndarray | None = np.zeros(m, dtype=bool)
-            self._member_mask[members] = True
-        else:
-            self._delivery_members = None
-            self._member_mask = None
-        self._defer_delivery_fold = bool(defer_delivery_fold)
         self._node_entries = np.zeros(tree.num_nodes, dtype=np.int64)
         self._deliveries = np.zeros(m, dtype=np.int64)
         self._matched = np.zeros(m, dtype=np.int64)
@@ -317,9 +288,8 @@ class DisseminationEngine:
         self._pending_controls: list[float] = []
         self._running = False
         self._published_through = 0
-        self._delivery_groups: list[
-            tuple[int, int, np.ndarray, np.ndarray]] = []
-        self._epoch_matcher = epoch_matcher
+        self._delivery_groups: list[tuple[int, int, np.ndarray]] = []
+        self._epoch_matcher: Matcher | None = None
         self._run_interval = self.config.publish_interval
         self._run_domain: Any = None
 
@@ -481,7 +451,7 @@ class DisseminationEngine:
                 if self._epoch_eligible() and k >= self.config.trace_events:
                     if self._epoch_matcher is None:
                         self._epoch_matcher = best_matcher(
-                            self._delivery_subscriptions(), self._run_domain)
+                            self._subscriptions, self._run_domain)
                     self._publish_epoch(k)
                 else:
                     self._publish(k, time)
@@ -497,22 +467,17 @@ class DisseminationEngine:
         # Delivery latency accumulates in canonical (event, leaf) order —
         # the scalar heap order and the epoch block order both reduce to
         # this one sequence of float additions, which is what makes the
-        # two modes bit-identical (and histograms reproducible).  Sharded
-        # runs defer the fold: the parent merges every shard's groups
-        # into the one global canonical sequence instead.
-        if not self._defer_delivery_fold:
-            for _event, _leaf, _receivers, latency in sorted(
-                    self._delivery_groups, key=lambda g: (g[0], g[1])):
-                self._total_latency += float(latency.sum())
-                self.telemetry.histogram(
-                    "delivery_latency").observe_many(latency)
-            self._delivery_groups.clear()
+        # two modes bit-identical (and histograms reproducible).
+        for _event, _leaf, latency in sorted(
+                self._delivery_groups, key=lambda g: (g[0], g[1])):
+            self._total_latency += float(latency.sum())
+            self.telemetry.histogram("delivery_latency").observe_many(latency)
+        self._delivery_groups.clear()
 
         for span in self.telemetry.open_spans():
             span.close(self._now)
         missed = np.maximum(self._matched - self._deliveries, 0)
-        if not self._defer_delivery_fold:
-            self.telemetry.counter("missed_deliveries").inc(int(missed.sum()))
+        self.telemetry.counter("missed_deliveries").inc(int(missed.sum()))
         peaks = np.array([b.peak for b in self._brokers], dtype=np.int64)
         if peaks.size:
             self.telemetry.gauge("queue_depth_peak").set(int(peaks.max()))
@@ -530,12 +495,6 @@ class DisseminationEngine:
     def _push(self, time: float, prio: int, payload: Any) -> None:
         heapq.heappush(self._heap, (time, prio, self._seq, payload))
         self._seq += 1
-
-    def _delivery_subscriptions(self) -> RectSet:
-        """The subscription rows this engine accounts deliveries for."""
-        if self._delivery_members is None:
-            return self._subscriptions
-        return self._subscriptions.take(self._delivery_members)
 
     def _epoch_eligible(self) -> bool:
         """Can the next publish run as a matrix step, per the *current* config?
@@ -562,19 +521,6 @@ class DisseminationEngine:
                 and config.publish_interval > 0.0
                 and config.publish_interval == self._run_interval)
 
-    def drain_delivery_groups(
-            self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Canonically ordered ``(event, leaf, receivers, latencies)`` groups.
-
-        Only meaningful after a ``defer_delivery_fold`` run: the shard
-        parent concatenates every shard's groups per ``(event, leaf)``
-        key, re-sorts by receiver index, and performs the single global
-        latency fold the unsharded engine would have done.
-        """
-        groups = sorted(self._delivery_groups, key=lambda g: (g[0], g[1]))
-        self._delivery_groups.clear()
-        return groups
-
     # -- message lifecycle ---------------------------------------------------
 
     def _publish(self, k: int, time: float) -> None:
@@ -585,8 +531,6 @@ class DisseminationEngine:
         # Record which active subscribers *should* receive this event;
         # deliveries are debited against this at the end of the run.
         active = self._assignment >= 0
-        if self._member_mask is not None:
-            active = active & self._member_mask
         if active.any():
             matches = self._subscriptions.contains_points(
                 point[None, :])[:, 0] & active
@@ -642,15 +586,11 @@ class DisseminationEngine:
         arrive = arrive[:, :n]
         self.telemetry.counter("events_published").inc(n)
 
-        # Matcher rows are local to the delivery subgroup (the full
-        # population when unsharded), and so are `rows` and `assignment`.
-        rows = (slice(None) if self._delivery_members is None
-                else self._delivery_members)
-        assignment = self._assignment[rows]
-        match = self._epoch_matcher.match_points(pts)  # (rows, n) bool
+        assignment = self._assignment
+        match = self._epoch_matcher.match_points(pts)  # (subscribers, n)
         active = assignment >= 0
         if active.any():
-            self._matched[rows] += (match & active[:, None]).sum(axis=1)
+            self._matched += (match & active[:, None]).sum(axis=1)
 
         # Arrivals at a crashed node are lost, not forwarded.
         arrived, entered = self._plan.entries(pts, self.alive_mask)
@@ -666,7 +606,7 @@ class DisseminationEngine:
         delivered = self._plan.reach(entered, assignment)
         delivered &= match
         counts = delivered.sum(axis=1)
-        self._deliveries[rows] += counts
+        self._deliveries += counts
         if counts.any():
             self.telemetry.counter("deliveries").inc(int(counts.sum()))
             self._group_deliveries(k, delivered, assignment, arrive, t_vec)
@@ -682,17 +622,16 @@ class DisseminationEngine:
                           t_vec: np.ndarray) -> None:
         """Append an epoch block's latency groups, one per (event, leaf).
 
-        ``delivered`` is the block's ``(rows, n)`` delivery matrix over
-        the local rows that ``assignment`` maps to leaves.  Groups come
+        ``delivered`` is the block's ``(subscribers, n)`` delivery matrix
+        and ``assignment`` maps each subscriber to its leaf.  Groups come
         out in canonical (event, leaf, subscriber) order, with the same
         float operations as :meth:`_deliver`.
         """
-        event, row = np.nonzero(delivered.T)   # event-major, rows ascending
-        leaf = assignment[row]
-        order = np.lexsort((row, leaf, event))
-        event, row, leaf = event[order], row[order], leaf[order]
-        receivers = (row if self._delivery_members is None
-                     else self._delivery_members[row])
+        # Event-major, subscribers ascending.
+        event, receivers = np.nonzero(delivered.T)
+        leaf = assignment[receivers]
+        order = np.lexsort((receivers, leaf, event))
+        event, receivers, leaf = event[order], receivers[order], leaf[order]
         latency = arrive[leaf, event] - t_vec[event]
         if self._subscriber_points is not None:
             latency = latency + np.linalg.norm(
@@ -703,7 +642,7 @@ class DisseminationEngine:
         bounds = [0, *cuts.tolist(), len(event)]
         for a, b in zip(bounds[:-1], bounds[1:]):
             self._delivery_groups.append((k + int(event[a]), int(leaf[a]),
-                                          receivers[a:b], latency[a:b]))
+                                          latency[a:b]))
 
     def _forward(self, node: int, k: int, time: float) -> None:
         """Send event ``k`` from ``node`` to each matching child."""
@@ -761,8 +700,6 @@ class DisseminationEngine:
 
     def _deliver(self, leaf: int, k: int, time: float) -> None:
         members = np.flatnonzero(self._assignment == leaf)
-        if self._member_mask is not None:
-            members = members[self._member_mask[members]]
         if len(members) == 0:
             return
         point = self._events[k]
@@ -779,7 +716,7 @@ class DisseminationEngine:
                 self.tree.positions[leaf] - self._subscriber_points[receivers],
                 axis=1)
         # Accumulated at run end in canonical (event, leaf) order; see run().
-        self._delivery_groups.append((k, leaf, receivers, latency))
+        self._delivery_groups.append((k, leaf, latency))
         self.telemetry.counter("deliveries").inc(len(receivers))
         if k < self.config.trace_events:
             span = self._traces[k]

@@ -18,7 +18,6 @@ counted as a miss — the engine clamps at zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .engine import DisseminationEngine, RuntimeConfig, RuntimeResult
 from .faults import FaultPlan, apply_fault_plan
 from .telemetry import Telemetry
 
-__all__ = ["ReplayConfig", "replay_churn", "prepare_replay"]
+__all__ = ["ReplayConfig", "replay_churn"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ def replay_churn(problem: SAProblem,
                  failover: bool = True,
                  manager_seed: int = 0,
                  telemetry: Telemetry | None = None,
-                 engine_kwargs: dict[str, Any] | None = None,
                  ) -> tuple[RuntimeResult, DynamicPubSub]:
     """Run the engine while a churn trace plays out.
 
@@ -74,38 +72,6 @@ def replay_churn(problem: SAProblem,
     outages on top of the churn.  Returns the runtime result and the
     dynamic manager in its final state (for migration counts, final
     filters, follow-up re-optimization, ...).
-
-    ``engine_kwargs`` passes extra :class:`DisseminationEngine` keywords
-    through (shard workers use ``delivery_members`` /
-    ``defer_delivery_fold``); the churn control plane itself is
-    subscriber-independent, so restricted engines replay identically.
-    """
-    engine, system = prepare_replay(
-        problem, trace, num_events, engine_config=engine_config,
-        replay_config=replay_config, fault_plan=fault_plan,
-        failover=failover, manager_seed=manager_seed, telemetry=telemetry,
-        engine_kwargs=engine_kwargs)
-    result = engine.run(distribution, rng, num_events)
-    return result, system
-
-
-def prepare_replay(problem: SAProblem,
-                   trace: ChurnTrace,
-                   num_events: int,
-                   *,
-                   engine_config: RuntimeConfig | None = None,
-                   replay_config: ReplayConfig | None = None,
-                   fault_plan: FaultPlan | None = None,
-                   failover: bool = True,
-                   manager_seed: int = 0,
-                   telemetry: Telemetry | None = None,
-                   engine_kwargs: dict[str, Any] | None = None,
-                   ) -> tuple[DisseminationEngine, DynamicPubSub]:
-    """Build the engine + manager for a churn replay without running it.
-
-    :func:`replay_churn` composes this with ``engine.run``; shard
-    workers use it directly so they can drain the engine's deferred
-    delivery groups after the run.
     """
     if trace.population_size != problem.num_subscribers:
         raise ValueError("trace population must match the problem's "
@@ -120,8 +86,7 @@ def prepare_replay(problem: SAProblem,
     engine = DisseminationEngine(
         problem.tree, system.current_filters(), system.assignment,
         problem.subscriptions, config=engine_config,
-        subscriber_points=problem.subscriber_points, telemetry=telemetry,
-        **(engine_kwargs or {}))
+        subscriber_points=problem.subscriber_points, telemetry=telemetry)
     if fault_plan is not None:
         # Caveat when combining churn and faults: each churn step
         # re-imposes the manager's assignment, which may re-point some
@@ -139,7 +104,8 @@ def prepare_replay(problem: SAProblem,
         for step in trace.steps:
             engine.schedule((step.step + 1) * interval,
                             _make_step_action(system, step, replay_config))
-    return engine, system
+    result = engine.run(distribution, rng, num_events)
+    return result, system
 
 
 def _make_step_action(system: DynamicPubSub, step: ChurnStep,

@@ -45,16 +45,6 @@ class Counter:
             raise ValueError("counters only increase; use a Gauge instead")
         self._value += int(amount)
 
-    def reset_to(self, value: int) -> None:
-        """Overwrite the count.
-
-        For merge paths only (a shard parent replacing a shard-local
-        tally with the global one); live accounting must use :meth:`inc`.
-        """
-        if value < 0:
-            raise ValueError("counters cannot be negative")
-        self._value = int(value)
-
     @property
     def value(self) -> int:
         return self._value

@@ -1,32 +1,23 @@
-"""Sharded dissemination: subscription subgrouping across worker processes.
+"""Subscription subgrouping for the live broker's matcher (``serve --shards``).
 
-The scaling step past one core (ROADMAP: "Sharded dissemination with
-subscription subgrouping").  The population is partitioned into
-signature subgroups with one aggregate cover filter per shard
-(:mod:`~repro.shard.plan`), matched through cover-guarded indexes
-(:mod:`~repro.shard.matcher`), run as full-control-plane engine
-replicas restricted to their subgroup and merged deterministically
-(:mod:`~repro.shard.runner`), and re-sharded under churn with minimal
-migration via max-flow (:mod:`~repro.shard.rebalance`).  Multi-process
-runs are sha256-bit-identical to single-process runs — enforced by
-``shard_oracle`` under ``repro verify`` and the property suite.
+The population is partitioned into signature subgroups with one
+aggregate cover filter per shard (:mod:`~repro.shard.plan`), matched
+in-process through cover-guarded indexes (:mod:`~repro.shard.matcher`),
+and re-sharded under churn with minimal migration via max-flow
+(:mod:`~repro.shard.rebalance`).  The sharded matcher answers exactly
+what the unsharded one does; only the per-event work changes.
 """
 
-from .matcher import CoverMatcher, ShardedMatcher, SubgroupMatcher
+from .matcher import CoverMatcher, ShardedMatcher
 from .plan import MAX_COVER_RECTS, ShardPlan, plan_shards
 from .rebalance import rebalance_groups, replan_shards
-from .runner import ShardRun, run_dissemination, simulate_sharded
 
 __all__ = [
     "CoverMatcher",
     "ShardedMatcher",
-    "SubgroupMatcher",
     "MAX_COVER_RECTS",
     "ShardPlan",
     "plan_shards",
     "rebalance_groups",
     "replan_shards",
-    "ShardRun",
-    "run_dissemination",
-    "simulate_sharded",
 ]

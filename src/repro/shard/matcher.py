@@ -1,16 +1,14 @@
 """Cover-filtered matchers: the shard data plane's matching indexes.
 
-Three compositions of the :class:`~repro.pubsub.matching.Matcher`
-protocol, all *exact* (the cover filter is a proven superset of every
+Two compositions of the :class:`~repro.pubsub.matching.Matcher`
+protocol, both *exact* (the cover filter is a proven superset of every
 guarded subscription, so pre-filtering events against it never changes
 an answer — it only skips per-subscription work for events no member
 can match):
 
 * :class:`CoverMatcher` — an inner matcher over a subscription subset,
   guarded by the subset's aggregate cover.  Rows are local to the
-  subset; shard engine workers use this directly.
-* :class:`SubgroupMatcher` — a cover matcher whose rows are scattered
-  back to full-population indices (zero outside the subgroup).
+  subset.
 * :class:`ShardedMatcher` — the full population decomposed along a
   :class:`~repro.shard.plan.ShardPlan`: one cover-guarded index per
   shard, answers assembled from disjoint row blocks.  This is what the
@@ -26,7 +24,7 @@ from ..pubsub.filters import Filter
 from ..pubsub.matching import Matcher, best_matcher
 from .plan import ShardPlan, plan_shards
 
-__all__ = ["CoverMatcher", "SubgroupMatcher", "ShardedMatcher"]
+__all__ = ["CoverMatcher", "ShardedMatcher"]
 
 
 class CoverMatcher:
@@ -48,32 +46,6 @@ class CoverMatcher:
         inside = self._cover.contains_points(pts)
         if inside.any():
             out[:, inside] = self._inner.match_points(pts[inside])
-        return out
-
-
-class SubgroupMatcher:
-    """A subgroup's cover matcher with rows in full-population indices."""
-
-    def __init__(self, subscriptions: RectSet, members: np.ndarray, *,
-                 cover: Filter | None = None, domain: Rect | None = None):
-        self._num_subscriptions = len(subscriptions)
-        self._members = np.asarray(members, dtype=int)
-        subset = subscriptions.take(self._members)
-        if cover is None:
-            cover = (Filter.from_rects([subset.meb()]) if len(subset)
-                     else Filter.empty(subscriptions.dim))
-        self._local = CoverMatcher(best_matcher(subset, domain), cover,
-                                   len(self._members))
-
-    def match_point(self, point: np.ndarray) -> np.ndarray:
-        local = self._local.match_point(point)
-        return np.sort(self._members[local])
-
-    def match_points(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros((self._num_subscriptions, pts.shape[0]), dtype=bool)
-        if len(self._members):
-            out[self._members] = self._local.match_points(pts)
         return out
 
 

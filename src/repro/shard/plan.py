@@ -2,7 +2,7 @@
 
 A shard plan partitions the subscriber population into *subgroups* of
 similar subscriptions (Shafique's subscription subgrouping) and packs
-the subgroups onto ``num_shards`` workers.  Subgroups reuse the
+the subgroups onto ``num_shards`` shards.  Subgroups reuse the
 feasibility-signature discipline of :mod:`repro.core.slp.aggregate`:
 subscribers sharing a dissemination signature — the assigned leaf when
 an assignment exists, otherwise the packed row of the latency-feasible
@@ -16,8 +16,7 @@ shard matchers pre-filter event batches against the cover before any
 per-subscription work (see :class:`repro.shard.matcher.CoverMatcher`).
 
 Everything here is deterministic — no RNG, no hashing of unordered
-containers — because sharded runs must be seed-for-seed bit-identical
-to single-process runs regardless of worker count.
+containers — so the same population always yields the same plan.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def plan_shards(subscriptions: RectSet,
     subgroups per shard, so longest-processing-time packing balances),
     ordered canonically, and packed LPT onto the least-loaded shard
     (ties to the lowest shard id).  The effective shard count is capped
-    at the subgroup count — tiny populations simply use fewer workers.
+    at the subgroup count — tiny populations simply use fewer shards.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")

@@ -33,7 +33,6 @@ from .oracles import (
     epoch_runtime_oracle,
     matcher_oracle,
     runtime_oracle,
-    shard_oracle,
     simulator_batch_oracle,
     solution_oracles,
     volume_oracle,
@@ -63,7 +62,6 @@ __all__ = [
     "runtime_oracle",
     "simulator_batch_oracle",
     "epoch_runtime_oracle",
-    "shard_oracle",
     "solution_oracles",
     "EVENT_DOMAIN",
     "STRATEGY_NAMES",

@@ -18,9 +18,7 @@ agree for the fast path to be trustworthy:
   identical* to their scalar twins: chunked simulation with the
   heuristic matcher vs event-at-a-time simulation with brute force
   (:func:`simulator_batch_oracle`), epoch-mode engine runs vs scalar
-  heap stepping (:func:`epoch_runtime_oracle`), and sharded
-  multi-process dissemination vs the single-process engine
-  (:func:`shard_oracle`).
+  heap stepping (:func:`epoch_runtime_oracle`).
 
 Each harness returns an :class:`OracleReport`; ``repro verify`` and the
 differential test suite treat any disagreement as a failure.
@@ -41,12 +39,11 @@ from ..pubsub.events import EventDistribution, UniformEvents
 from ..pubsub.matching import BruteForceMatcher, GridMatcher, Matcher
 from ..pubsub.rtree import RTreeMatcher
 from ..pubsub.simulator import simulate_dissemination
-from ..runtime import (BrokerOutage, DisseminationEngine, FaultPlan,
-                       RuntimeConfig)
+from ..runtime import DisseminationEngine, RuntimeConfig
 
 __all__ = ["OracleReport", "matcher_oracle", "volume_oracle",
            "runtime_oracle", "simulator_batch_oracle",
-           "epoch_runtime_oracle", "shard_oracle", "solution_oracles"]
+           "epoch_runtime_oracle", "solution_oracles"]
 
 
 def _sha256(payload: dict[str, Any]) -> str:
@@ -247,49 +244,6 @@ def epoch_runtime_oracle(problem: SAProblem, solution: SASolution,
                         max_error=float(not agree), tolerance=0.0)
 
 
-def shard_oracle(problem: SAProblem, solution: SASolution,
-                 distribution: EventDistribution, *, seed: int = 0,
-                 num_events: int = 400, shards: int = 2,
-                 epoch_batch: int = 128) -> OracleReport:
-    """Sharded dissemination vs single-process: sha256-identical.
-
-    The sharded runner replicates the engine's control plane per shard
-    and partitions only the delivery accounting, so ``--shards N`` must
-    reproduce the ``--shards 1`` payload bit-for-bit.  Both runs share
-    the seed, epoch batching, and — when the tree has more than one
-    node — a mid-run crash/recover on node 1 so the merge is exercised
-    under failover migrations, not just in the fault-free steady state.
-    """
-    from ..shard import run_dissemination  # lazy: shard imports runtime
-
-    interval = 1.0
-    plan = None
-    if problem.tree.num_nodes > 1:
-        plan = FaultPlan(outages=(BrokerOutage(
-            1, interval * num_events * 0.25, interval * num_events * 0.75),))
-
-    def run(num_shards: int) -> dict[str, Any]:
-        shard_run = run_dissemination(
-            problem, distribution, np.random.default_rng(seed), num_events,
-            config=RuntimeConfig(publish_interval=interval,
-                                 epoch_batch=epoch_batch),
-            shards=num_shards, workers=1, filters=solution.filters,
-            assignment=solution.assignment, fault_plan=plan)
-        return shard_run.result.to_dict()
-
-    single_sha = _sha256(run(1))
-    sharded_sha = _sha256(run(shards))
-    agree = single_sha == sharded_sha
-    detail = (f"{num_events} events, seed {seed}, {shards} shards, "
-              f"epoch batch {epoch_batch}, "
-              f"{'crash/recover barrier; ' if plan else ''}"
-              + (f"sha256 {single_sha[:12]} identical" if agree
-                 else f"sha256 differ: single {single_sha[:12]} vs "
-                      f"sharded {sharded_sha[:12]}"))
-    return OracleReport(name="runtime-shard", agree=agree, detail=detail,
-                        max_error=float(not agree), tolerance=0.0)
-
-
 def solution_oracles(problem: SAProblem, solution: SASolution,
                      domain: Rect, *, seed: int = 0,
                      match_events: int = 256, num_events: int = 400,
@@ -319,6 +273,4 @@ def solution_oracles(problem: SAProblem, solution: SASolution,
                                           seed=seed, num_events=num_events))
     reports.append(epoch_runtime_oracle(problem, solution, distribution,
                                         seed=seed, num_events=num_events))
-    reports.append(shard_oracle(problem, solution, distribution,
-                                seed=seed, num_events=num_events))
     return reports

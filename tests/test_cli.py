@@ -71,6 +71,11 @@ class TestCommands:
         assert code == 0
         assert "missed deliveries" in out
 
+    def test_simulate_negative_events_exits_two(self, capsys):
+        # A negative count is an input error, not an empty run.
+        assert main(["simulate", *SMALL, "--events", "-1"]) == 2
+        assert "num_events must be non-negative" in capsys.readouterr().err
+
     def test_dynamic_trajectory(self, capsys):
         assert main(["dynamic", *SMALL, "--horizon", "4",
                      "--reopt-every", "10"]) == 0

@@ -215,6 +215,18 @@ class TestEmptyInputGuards:
             sample_event_stream(dist, rng, -1)
         with pytest.raises(ValueError):
             sample_event_stream(dist, rng, 10, chunk_size=0)
+        # simulate_dissemination draws its own chunks, so it must refuse
+        # the same counts itself.
+        problem = make_problem(rng, m=10)
+        solution = offline_greedy(problem)
+        args = (problem.tree, solution.filters, solution.assignment,
+                problem.subscriptions, dist, rng)
+        with pytest.raises(ValueError, match="num_events must be "
+                                             "non-negative"):
+            simulate_dissemination(*args, num_events=-5)
+        with pytest.raises(ValueError, match="chunk_size must be at "
+                                             "least 1"):
+            simulate_dissemination(*args, num_events=10, chunk_size=0)
 
     def test_sample_event_stream_empty_consistent(self):
         # The num_events == 0 path must go through distribution.sample

@@ -1,4 +1,5 @@
-"""Shard planning invariants: partitioning, covers, packing, rebalance.
+"""Shard planning invariants: partitioning, covers, packing, rebalance,
+and the sharded matcher `serve --shards` plugs in.
 
 The plan layer is pure, deterministic bookkeeping — but every
 dissemination guarantee downstream leans on its invariants: the
@@ -10,9 +11,16 @@ must respect the capacity bound while moving as little as possible.
 import numpy as np
 import pytest
 
+from repro import (
+    BruteForceMatcher,
+    GoogleGroupsConfig,
+    generate_google_groups,
+    one_level_problem,
+)
 from repro.geometry import RectSet
 from repro.shard import (
     MAX_COVER_RECTS,
+    ShardedMatcher,
     ShardPlan,
     plan_shards,
     rebalance_groups,
@@ -190,3 +198,21 @@ class TestReplanShards:
         capacity = -(-240 // new_plan.num_shards)
         largest = max(len(g) for g in new_plan.groups)
         assert int(new_plan.loads().max()) <= capacity + largest
+
+
+class TestShardedMatcher:
+    def test_matches_brute_force(self):
+        config = GoogleGroupsConfig(num_subscribers=150, num_brokers=6,
+                                    interest_skew="H", broad_interests="L")
+        problem = one_level_problem(generate_google_groups(seed=5,
+                                                           config=config))
+        subs = problem.subscriptions
+        plan = plan_shards(subs, 4, feasible=problem.feasible_leaf)
+        sharded = ShardedMatcher(subs, plan)
+        brute = BruteForceMatcher(subs)
+        events = np.random.default_rng(11).uniform(-5, 105, size=(300, 2))
+        assert np.array_equal(sharded.match_points(events),
+                              brute.match_points(events))
+        for point in events[:50]:
+            assert np.array_equal(sharded.match_point(point),
+                                  brute.match_point(point))

@@ -10,7 +10,6 @@ from repro.verify import (
     matcher_oracle,
     random_problem,
     runtime_oracle,
-    shard_oracle,
     solution_oracles,
     volume_oracle,
 )
@@ -112,37 +111,6 @@ class TestRuntimeOracle:
         assert "node entries" in report.detail
 
 
-class TestShardOracle:
-    def test_sharded_matches_single_process(self, small_problem):
-        solution = ALGORITHMS["Gr*"](small_problem)
-        distribution = UniformEvents(EVENT_DOMAIN)
-        report = shard_oracle(small_problem, solution, distribution,
-                              seed=11, num_events=300, shards=3)
-        assert report.agree, report.detail
-        assert "identical" in report.detail
-        assert "crash/recover" in report.detail
-
-    def test_detects_a_broken_merge(self, small_problem, monkeypatch):
-        from repro.shard import runner as runner_module
-
-        solution = ALGORITHMS["Gr*"](small_problem)
-        distribution = UniformEvents(EVENT_DOMAIN)
-        original = runner_module._merge_partials
-
-        def skewed(partials):
-            result = original(partials)
-            import dataclasses
-            deliveries = result.deliveries.copy()
-            deliveries[0] += 1
-            return dataclasses.replace(result, deliveries=deliveries)
-
-        monkeypatch.setattr(runner_module, "_merge_partials", skewed)
-        report = shard_oracle(small_problem, solution, distribution,
-                              seed=11, num_events=150, shards=2)
-        assert not report.agree
-        assert "differ" in report.detail
-
-
 class TestSolutionOracles:
     def test_all_oracles_agree_on_workload_instance(self, small_workload,
                                                     small_problem):
@@ -153,8 +121,7 @@ class TestSolutionOracles:
                                    mc_samples=60_000)
         names = [r.name for r in reports]
         assert names == ["matcher", "volume", "runtime",
-                         "simulator-batch", "runtime-epoch",
-                         "runtime-shard"]
+                         "simulator-batch", "runtime-epoch"]
         for report in reports:
             assert report.agree, str(report)
 
