@@ -14,10 +14,13 @@ Emits a ``BENCH_event_plane.json`` payload in the profile-payload shape
 perf-regression gate (:func:`repro.perf.regression.check_regression`)
 can compare runs against the committed baseline::
 
-    PYTHONPATH=src python benchmarks/bench_event_plane.py \
+    PYTHONPATH=src python benchmarks/bench_event_plane.py --events 2000 \
         --json benchmarks/baselines/BENCH_event_plane.json    # record
-    PYTHONPATH=src python benchmarks/bench_event_plane.py \
+    PYTHONPATH=src python benchmarks/bench_event_plane.py --events 2000 \
         --check-against benchmarks/baselines/BENCH_event_plane.json
+
+Stage seconds grow with the event count, so ``--check-against`` refuses
+a baseline recorded at another ``--events`` (a usage error, exit 2).
 
 Exit codes: 2 = bit-identity violated, 3 = perf regression vs the
 baseline, 4 = over ``--time-budget``, 5 = speedup under
@@ -111,6 +114,12 @@ def main(argv=None) -> int:
                         metavar="SECONDS",
                         help="exit 4 when the sweep exceeds this wall-clock")
     args = parser.parse_args(argv)
+    if args.check_against:
+        with open(args.check_against, encoding="utf-8") as fh:
+            baseline = json.load(fh)
+        if baseline.get("events") != args.events:
+            parser.error(f"--events {args.events} does not match the "
+                         f"baseline's {baseline.get('events')} events")
 
     calibration = calibrate()
     workload, problem, solution = build_instance()
@@ -198,8 +207,6 @@ def main(argv=None) -> int:
 
     status = 0
     if args.check_against:
-        with open(args.check_against, encoding="utf-8") as fh:
-            baseline = json.load(fh)
         regression = check_regression(payload, baseline,
                                       tolerance=args.tolerance)
         print(format_table(

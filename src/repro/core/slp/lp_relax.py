@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
 from ...geometry import RectSet
 from ...perf.fastlp import solve_bounded_lp
 from ...perf.profiler import span
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["LPOutcome", "lp_relax"]
 
@@ -146,6 +150,7 @@ def _assemble_constraints(feasible: np.ndarray, sb_mask: np.ndarray,
     vals = np.concatenate([c1_vals, c2_vals, c3_vals, np.ones(num_x),
                            -np.ones(len(c4_neg_rows))])
     b_ub = np.concatenate([c1_b, c2_b, c3_b, np.zeros(num_x)])
+    from scipy import sparse  # on first use; see repro.perf.fastlp
     a_ub = sparse.coo_matrix((vals, (rows, cols)),
                              shape=(row, num_y + num_x)).tocsr()
     return a_ub, b_ub

@@ -16,49 +16,73 @@ confirm this empirically.
 The private scipy entry points are an implementation detail of the
 installed scipy; when any of them is missing the module transparently
 falls back to public ``linprog``.
+
+scipy is imported on the first solve, not with the package: loading
+``scipy.optimize`` adds about 45 MB of resident memory, and the event
+planes and serve's publish path never solve an LP.
 """
 
 from __future__ import annotations
 
+import functools
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any
+
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog
-from scipy.sparse import csc_array
+
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
 
 __all__ = ["solve_bounded_lp", "FAST_PATH_AVAILABLE"]
 
-try:  # scipy >= 1.15 layout; fall back to public linprog otherwise
-    from scipy.optimize import _linprog_highs as _lh
-    from scipy.optimize._linprog_util import _check_result
 
-    _highs_wrapper = _lh._highs_wrapper
-    _replace_inf = _lh._replace_inf
-    _to_scipy_status = _lh._highs_to_scipy_status_message
-    _HighsModelStatus = _lh.HighsModelStatus
-    # Same effective options dict ``_linprog_highs`` builds for
-    # ``method="highs"`` with default solver options (None values are
-    # skipped by the wrapper, as are 'sense' and 'solver'=None).
-    _OPTIONS = {
-        "presolve": True,
-        "sense": _lh.ObjSense.kMinimize,
-        "solver": None,
-        "time_limit": None,
-        "highs_debug_level": _lh.HighsDebugLevel.kHighsDebugLevelNone,
-        "dual_feasibility_tolerance": None,
-        "ipm_optimality_tolerance": None,
-        "log_to_console": False,
-        "mip_max_nodes": None,
-        "output_flag": False,
-        "primal_feasibility_tolerance": None,
-        "simplex_dual_edge_weight_strategy": None,
-        "simplex_strategy":
-            _lh.s_c.SimplexStrategy.kSimplexStrategyDual,
-        "ipm_iteration_limit": None,
-        "simplex_iteration_limit": None,
-        "mip_rel_gap": None,
-    }
-    FAST_PATH_AVAILABLE = True
-except (ImportError, AttributeError):  # pragma: no cover - scipy drift
-    FAST_PATH_AVAILABLE = False
+@functools.cache
+def _highs() -> SimpleNamespace | None:
+    """scipy's HiGHS entry points, imported once, on the first solve.
+
+    ``None`` when the installed scipy lacks the private layout; the
+    solve then goes through public ``linprog``.
+    """
+    try:  # scipy >= 1.15 layout; fall back to public linprog otherwise
+        from scipy.optimize import _linprog_highs as _lh
+        from scipy.optimize._linprog_util import _check_result
+        # Same effective options dict ``_linprog_highs`` builds for
+        # ``method="highs"`` with default solver options (None values are
+        # skipped by the wrapper, as are 'sense' and 'solver'=None).
+        options = {
+            "presolve": True,
+            "sense": _lh.ObjSense.kMinimize,
+            "solver": None,
+            "time_limit": None,
+            "highs_debug_level": _lh.HighsDebugLevel.kHighsDebugLevelNone,
+            "dual_feasibility_tolerance": None,
+            "ipm_optimality_tolerance": None,
+            "log_to_console": False,
+            "mip_max_nodes": None,
+            "output_flag": False,
+            "primal_feasibility_tolerance": None,
+            "simplex_dual_edge_weight_strategy": None,
+            "simplex_strategy":
+                _lh.s_c.SimplexStrategy.kSimplexStrategyDual,
+            "ipm_iteration_limit": None,
+            "simplex_iteration_limit": None,
+            "mip_rel_gap": None,
+        }
+        return SimpleNamespace(
+            wrapper=_lh._highs_wrapper, replace_inf=_lh._replace_inf,
+            to_scipy_status=_lh._highs_to_scipy_status_message,
+            check_result=_check_result, options=options)
+    except (ImportError, AttributeError):  # pragma: no cover - scipy drift
+        return None
+
+
+def __getattr__(name: str) -> Any:
+    # ``FAST_PATH_AVAILABLE`` stays a module attribute, computed on first
+    # access so that reading it is what imports scipy.
+    if name == "FAST_PATH_AVAILABLE":
+        return _highs() is not None
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def solve_bounded_lp(cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult:
     """``linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")``.
@@ -68,7 +92,12 @@ def solve_bounded_lp(cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult
     fields LPRelax reads (``success``, ``status``, ``message``, ``x``,
     ``fun``).
     """
-    if not FAST_PATH_AVAILABLE:  # pragma: no cover - scipy drift
+    from scipy.optimize import OptimizeResult
+    from scipy.sparse import csc_array
+
+    highs = _highs()
+    if highs is None:  # pragma: no cover - scipy drift
+        from scipy.optimize import linprog
         return linprog(cost, A_ub=a_ub, b_ub=b_ub,
                        bounds=(0.0, 1.0), method="highs")
 
@@ -81,29 +110,29 @@ def solve_bounded_lp(cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult
     ub = np.ones(n)
     A = csc_array(a_ub)
 
-    rhs = _replace_inf(rhs)
-    lhs = _replace_inf(lhs)
-    lb = _replace_inf(lb)
-    ub = _replace_inf(ub)
+    rhs = highs.replace_inf(rhs)
+    lhs = highs.replace_inf(lhs)
+    lb = highs.replace_inf(lb)
+    ub = highs.replace_inf(ub)
     integrality = np.empty(0).astype(np.uint8)
 
-    res = _highs_wrapper(c, A.indptr, A.indices, A.data, lhs, rhs,
-                         lb, ub, integrality, dict(_OPTIONS))
+    res = highs.wrapper(c, A.indptr, A.indices, A.data, lhs, rhs,
+                        lb, ub, integrality, dict(highs.options))
 
     x = res["x"]
     fun = res.get("fun")
     slack = None
     if "slack" in res:
         slack = np.array(res["slack"])
-    status, message = _to_scipy_status(res.get("status", None),
-                                       res.get("message", None))
+    status, message = highs.to_scipy_status(res.get("status", None),
+                                            res.get("message", None))
     # Same post-check linprog applies (bounds here is the (n, 2) array
     # _clean_inputs derives from ``(0.0, 1.0)``; equality residuals are
     # an empty vector since the model has no A_eq rows).
     bounds = np.broadcast_to([0.0, 1.0], (n, 2))
     con = np.empty(0) if x is not None else None
-    status, message = _check_result(x, fun, status, slack, con,
-                                    bounds, 1e-9, message, None)
+    status, message = highs.check_result(x, fun, status, slack, con,
+                                         bounds, 1e-9, message, None)
     return OptimizeResult({
         "x": None if x is None else np.asarray(x, dtype=np.float64),
         "fun": fun,

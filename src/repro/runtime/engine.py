@@ -275,20 +275,19 @@ class DisseminationEngine:
         self._node_entries = np.zeros(tree.num_nodes, dtype=np.int64)
         self._deliveries = np.zeros(m, dtype=np.int64)
         self._matched = np.zeros(m, dtype=np.int64)
-        self._total_latency = 0.0
         self._now = 0.0
         self._events: np.ndarray | None = None
         self._traces: list[Any] = []
 
         # Epoch-mode machinery (see run()): a min-heap of pending control
         # times (the epoch barriers), a watermark of publishes consumed
-        # by matrix blocks, and the per-(event, leaf) delivery latency
-        # groups accumulated in canonical order at run end so scalar and
-        # epoch stepping produce the identical float total.
+        # by matrix blocks, and the delivery latency arrays of both
+        # modes, folded sorted at run end so scalar and epoch stepping
+        # produce the identical float total.
         self._pending_controls: list[float] = []
         self._running = False
         self._published_through = 0
-        self._delivery_groups: list[tuple[int, int, np.ndarray]] = []
+        self._latencies: list[np.ndarray] = []
         self._epoch_matcher: Matcher | None = None
         self._run_interval = self.config.publish_interval
         self._run_domain: Any = None
@@ -410,8 +409,13 @@ class DisseminationEngine:
 
         The stream is sampled with the same chunking as the batch
         simulator, so the same ``rng`` state yields the identical
-        sequence of event points.
+        sequence of event points.  An engine runs once: its counts,
+        clock and telemetry belong to that run, so a second call raises
+        ``RuntimeError``.
         """
+        if self._events is not None:
+            raise RuntimeError("DisseminationEngine.run() was already "
+                               "called; build a new engine per run")
         if num_events < 0:
             raise ValueError("num_events must be non-negative")
         self._events = sample_event_stream(distribution, rng, num_events,
@@ -464,15 +468,17 @@ class DisseminationEngine:
                     self._serve(node, event_idx, time)
         self._running = False
 
-        # Delivery latency accumulates in canonical (event, leaf) order —
-        # the scalar heap order and the epoch block order both reduce to
-        # this one sequence of float additions, which is what makes the
-        # two modes bit-identical (and histograms reproducible).
-        for _event, _leaf, latency in sorted(
-                self._delivery_groups, key=lambda g: (g[0], g[1])):
-            self._total_latency += float(latency.sum())
-            self.telemetry.histogram("delivery_latency").observe_many(latency)
-        self._delivery_groups.clear()
+        # Delivery latency is folded once, over the sorted values: the
+        # scalar heap and the epoch blocks append the same multiset in
+        # different orders, and sorting makes the float sum (and so the
+        # histogram) independent of that order.
+        total_latency = 0.0
+        if self._latencies:
+            values = np.concatenate(self._latencies)
+            self._latencies.clear()
+            values.sort()
+            total_latency = float(values.sum())
+            self.telemetry.histogram("delivery_latency").observe_many(values)
 
         for span in self.telemetry.open_spans():
             span.close(self._now)
@@ -486,7 +492,7 @@ class DisseminationEngine:
             node_entries=self._node_entries.copy(),
             deliveries=self._deliveries.copy(),
             missed=missed,
-            total_delivery_latency=self._total_latency,
+            total_delivery_latency=total_latency,
             duration=self._now,
             queue_peaks=peaks,
             telemetry=self.telemetry,
@@ -556,8 +562,9 @@ class DisseminationEngine:
         within ``max_duration``), so crash/recover/churn barriers see
         exactly the scalar engine's state.  Routing is one
         :class:`~repro.pubsub.routing.RoutingPlan` pass under the current
-        alive mask; counts are the same boolean matrices summed; latency
-        groups enter the same canonical accumulator as the scalar path.
+        alive mask; counts are the same boolean matrices summed; the
+        block's latencies join the scalar path's in the run-end sorted
+        fold.
         """
         config = self.config
         tree = self.tree
@@ -609,7 +616,7 @@ class DisseminationEngine:
         self._deliveries += counts
         if counts.any():
             self.telemetry.counter("deliveries").inc(int(counts.sum()))
-            self._group_deliveries(k, delivered, assignment, arrive, t_vec)
+            self._record_latencies(delivered, assignment, arrive, t_vec)
 
         # Advance the clock to the block's last *processed* action: the
         # final publish, or the latest arrival that actually happened.
@@ -617,32 +624,24 @@ class DisseminationEngine:
                         float(arrive[arrived].max()))
         self._published_through = k + n
 
-    def _group_deliveries(self, k: int, delivered: np.ndarray,
+    def _record_latencies(self, delivered: np.ndarray,
                           assignment: np.ndarray, arrive: np.ndarray,
                           t_vec: np.ndarray) -> None:
-        """Append an epoch block's latency groups, one per (event, leaf).
+        """Append an epoch block's delivery latencies, one per delivery.
 
         ``delivered`` is the block's ``(subscribers, n)`` delivery matrix
-        and ``assignment`` maps each subscriber to its leaf.  Groups come
-        out in canonical (event, leaf, subscriber) order, with the same
-        float operations as :meth:`_deliver`.
+        and ``assignment`` maps each subscriber to its leaf.  Each value
+        comes from the same float operations as :meth:`_deliver`; their
+        order does not matter, because the run-end fold sorts them.
         """
-        # Event-major, subscribers ascending.
-        event, receivers = np.nonzero(delivered.T)
+        receivers, event = np.nonzero(delivered)
         leaf = assignment[receivers]
-        order = np.lexsort((receivers, leaf, event))
-        event, receivers, leaf = event[order], receivers[order], leaf[order]
         latency = arrive[leaf, event] - t_vec[event]
         if self._subscriber_points is not None:
             latency = latency + np.linalg.norm(
                 self.tree.positions[leaf]
                 - self._subscriber_points[receivers], axis=1)
-        cuts = np.flatnonzero((np.diff(event) != 0)
-                              | (np.diff(leaf) != 0)) + 1
-        bounds = [0, *cuts.tolist(), len(event)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            self._delivery_groups.append((k + int(event[a]), int(leaf[a]),
-                                          latency[a:b]))
+        self._latencies.append(latency)
 
     def _forward(self, node: int, k: int, time: float) -> None:
         """Send event ``k`` from ``node`` to each matching child."""
@@ -715,8 +714,8 @@ class DisseminationEngine:
             latency = latency + np.linalg.norm(
                 self.tree.positions[leaf] - self._subscriber_points[receivers],
                 axis=1)
-        # Accumulated at run end in canonical (event, leaf) order; see run().
-        self._delivery_groups.append((k, leaf, latency))
+        # Folded at run end with every other latency, sorted; see run().
+        self._latencies.append(latency)
         self.telemetry.counter("deliveries").inc(len(receivers))
         if k < self.config.trace_events:
             span = self._traces[k]

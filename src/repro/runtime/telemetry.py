@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -108,7 +109,9 @@ class Histogram:
     """A fixed-bucket streaming histogram with count/sum/min/max.
 
     ``bounds`` are inclusive upper bucket boundaries; values above the
-    last boundary land in a final overflow bucket.
+    last boundary land in a final overflow bucket.  Non-finite values
+    raise ``ValueError``: a NaN would otherwise poison ``min``/``max``
+    for the rest of the run.
     """
 
     __slots__ = ("name", "_bounds", "_counts", "_count", "_sum", "_min", "_max")
@@ -128,6 +131,9 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"histogram {self.name!r}: non-finite value "
+                             f"{value!r}")
         self._counts[bisect.bisect_left(self._bounds, value)] += 1
         self._count += 1
         self._sum += value
@@ -138,6 +144,8 @@ class Histogram:
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             return
+        if not np.isfinite(values).all():
+            raise ValueError(f"histogram {self.name!r}: non-finite values")
         idx = np.searchsorted(np.asarray(self._bounds), values, side="left")
         np.add.at(self._counts, idx, 1)
         self._count += int(values.size)

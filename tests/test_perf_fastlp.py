@@ -7,11 +7,16 @@ vector verbatim and the reproduction's fixed-seed results are compared
 bit-for-bit.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+import repro
 from repro.perf.fastlp import FAST_PATH_AVAILABLE, solve_bounded_lp
 
 
@@ -62,3 +67,14 @@ def test_fast_path_available_on_this_scipy():
     # if this starts failing the module silently falls back to linprog
     # (correct but slower) and this canary makes that visible.
     assert FAST_PATH_AVAILABLE
+
+
+def test_package_import_defers_scipy():
+    # The event planes and serve's publish path never solve an LP, so
+    # importing the package must not pay for scipy.optimize (~45 MB).
+    probe = ("import sys, repro; "
+             "assert 'scipy.optimize' not in sys.modules; "
+             "assert 'scipy.sparse' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

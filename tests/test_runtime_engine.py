@@ -160,6 +160,16 @@ class TestValidation:
             make_engine(tiny_problem, solution).run(
                 DIST, np.random.default_rng(0), num_events=-1)
 
+    @pytest.mark.parametrize("epoch_batch", [0, 64])
+    def test_second_run_rejected(self, tiny_problem, epoch_batch):
+        # A second run used to report its own num_events beside counts
+        # summed over both runs, doubling the empirical bandwidth.
+        solution = offline_greedy(tiny_problem)
+        engine = make_engine(tiny_problem, solution, epoch_batch=epoch_batch)
+        engine.run(DIST, np.random.default_rng(0), num_events=100)
+        with pytest.raises(RuntimeError, match="already"):
+            engine.run(DIST, np.random.default_rng(0), num_events=100)
+
 
 class TestMaxDuration:
     def test_guard_aborts_and_flags_the_result(self, tiny_problem):

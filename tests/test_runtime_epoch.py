@@ -77,6 +77,25 @@ class TestBitIdentity:
         # The schedule actually bit: failover migrated somebody.
         assert epoch.telemetry.counter("failover_migrations").value > 0
 
+    def test_sorted_latency_fold_is_order_free(self, tiny_problem):
+        # Each batch size cuts the run into different blocks around the
+        # crash/recover barriers, so the latencies reach the run-end fold
+        # in a different order every time; the sorted fold must not care.
+        solution = offline_greedy(tiny_problem)
+        assert tiny_problem.subscriber_points is not None
+        victim = victim_leaf(tiny_problem, solution)
+        plan = FaultPlan(outages=(BrokerOutage(victim, 100.0, 400.0),))
+        runs = [run_engine(tiny_problem, solution, epoch_batch=batch,
+                           plan=plan, failover=False)
+                for batch in (0, 1, 7, 512)]
+        assert len({sha(result) for result in runs}) == 1
+        for result in runs:
+            histogram = result.telemetry.histogram("delivery_latency")
+            assert result.total_delivery_latency == histogram.sum
+            assert histogram.count == result.total_deliveries
+        # The outage actually cut deliveries.
+        assert runs[0].total_missed > 0
+
     def test_delayed_failover_fires_and_matches(self, tiny_problem):
         # Regression: a failover delay schedules its repair *mid-run*;
         # the engine must honour controls scheduled while running (they

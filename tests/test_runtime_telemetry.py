@@ -63,6 +63,26 @@ class TestHistogram:
         assert d["count"] == 1
         assert d["buckets"][0] == {"le": 1.0, "count": 1}
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_observe_rejects_non_finite(self, bad):
+        h = Histogram("lat", bounds=(1.0, 2.0))
+        h.observe(0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            h.observe(bad)
+        # The rejected value left no trace.
+        assert h.count == 1 and h.sum == 0.5
+        assert h.to_dict()["min"] == 0.5 and h.to_dict()["max"] == 0.5
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_observe_many_rejects_non_finite(self, bad):
+        h = Histogram("lat", bounds=(1.0, 2.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            h.observe_many(np.array([1.0, bad]))
+        # Nothing of the rejected batch was recorded.
+        assert h.count == 0 and h.sum == 0.0
+        assert h.to_dict()["min"] is None and h.to_dict()["max"] is None
+
 
 class TestSpans:
     def test_span_lifecycle(self):
