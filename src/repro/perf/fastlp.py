@@ -19,7 +19,9 @@ falls back to public ``linprog``.
 
 scipy is imported on the first solve, not with the package: loading
 ``scipy.optimize`` adds about 45 MB of resident memory, and the event
-planes and serve's publish path never solve an LP.
+planes and serve's publish path never solve an LP.  A caller that will
+solve later, and must not pay the import then, calls
+:func:`load_backend` up front.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy.optimize import OptimizeResult
 
-__all__ = ["solve_bounded_lp", "FAST_PATH_AVAILABLE"]
+__all__ = ["solve_bounded_lp", "load_backend", "FAST_PATH_AVAILABLE"]
 
 
 @functools.cache
@@ -74,6 +76,12 @@ def _highs() -> SimpleNamespace | None:
             check_result=_check_result, options=options)
     except (ImportError, AttributeError):  # pragma: no cover - scipy drift
         return None
+
+
+def load_backend() -> None:
+    """Import everything a solve needs now instead of on the first solve."""
+    import scipy.sparse  # noqa: F401  (LP assembly, see lp_relax)
+    _highs()
 
 
 def __getattr__(name: str) -> Any:

@@ -24,8 +24,8 @@ serve-vs-runtime differential oracle asserts.
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any
+from collections import deque
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,67 +36,96 @@ from ..pubsub.filters import Filter
 from ..pubsub.matching import best_matcher
 from ..pubsub.routing import RoutingPlan
 from ..shard import ShardedMatcher, ShardPlan, plan_shards, replan_shards
+from . import protocol
 
-__all__ = ["DeliveryQueue", "RoutingTable", "LiveBroker"]
+__all__ = ["Publication", "DeliveryQueue", "RoutingTable", "LiveBroker"]
 
-#: Sentinel closing a delivery queue's consumer loop.
-_CLOSE = object()
+
+class Publication:
+    """One published event, shared by every queue it is delivered to.
+
+    The subscriber-independent end of its delivery frame is encoded on
+    first use and reused for every later delivery of the same event.
+    """
+
+    __slots__ = ("point", "sent_at", "event_id", "_tail")
+
+    def __init__(self, point: np.ndarray, sent_at: float | None,
+                 event_id: Any):
+        self.point = point
+        self.sent_at = sent_at
+        self.event_id = event_id
+        self._tail: bytes | None = None
+
+    def tail(self) -> bytes:
+        """:func:`~repro.serve.protocol.event_tail` of this event."""
+        if self._tail is None:
+            self._tail = protocol.event_tail(self.point.tolist(),
+                                             self.sent_at, self.event_id)
+        return self._tail
 
 
 class DeliveryQueue:
-    """A bounded per-subscriber FIFO with backpressure drop accounting."""
+    """A bounded per-subscriber FIFO with backpressure drop accounting.
+
+    The consumer registers an ``on_ready`` hook with :meth:`bind`; an
+    offer into an empty queue calls it, so the consumer learns which
+    queues hold items without polling every one.  ``taken`` counts the
+    items handed out, which numbers them for the wire.
+    """
+
+    __slots__ = ("subscriber", "capacity", "_items", "_on_ready",
+                 "enqueued", "dropped", "taken", "peak", "closed")
 
     def __init__(self, subscriber: int, capacity: int):
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")
         self.subscriber = subscriber
         self.capacity = capacity
-        self._queue: asyncio.Queue[Any] = asyncio.Queue(maxsize=capacity + 1)
+        self._items: deque[Any] = deque()
+        self._on_ready: Callable[[DeliveryQueue], None] | None = None
         self.enqueued = 0
         self.dropped = 0
+        self.taken = 0
         self.peak = 0
         self.closed = False
 
     def __len__(self) -> int:
-        return self._queue.qsize()
+        return len(self._items)
+
+    def bind(self, on_ready: Callable[[DeliveryQueue], None]) -> None:
+        """Call ``on_ready(self)`` whenever an offer fills an empty queue."""
+        self._on_ready = on_ready
 
     def offer(self, item: Any) -> bool:
         """Enqueue without blocking; ``False`` (and a drop) when full."""
-        if self.closed or self._queue.qsize() >= self.capacity:
+        items = self._items
+        if self.closed or len(items) >= self.capacity:
             self.dropped += 1
             return False
-        self._queue.put_nowait(item)
+        items.append(item)
         self.enqueued += 1
-        self.peak = max(self.peak, self._queue.qsize())
+        if len(items) > self.peak:
+            self.peak = len(items)
+        if len(items) == 1 and self._on_ready is not None:
+            self._on_ready(self)
         return True
 
-    async def get(self) -> Any:
-        """Next item, or the module's close sentinel once closed."""
-        if self.closed and self._queue.empty():
-            return _CLOSE
-        return await self._queue.get()
-
-    def get_nowait(self) -> Any:
-        """Next already-queued item (for micro-batched draining).
-
-        Raises :class:`asyncio.QueueEmpty` when nothing is pending; may
-        return the close sentinel (check :meth:`is_close`).
-        """
-        if self.closed and self._queue.empty():
-            return _CLOSE
-        return self._queue.get_nowait()
-
-    @staticmethod
-    def is_close(item: Any) -> bool:
-        return item is _CLOSE
+    def take(self, limit: int) -> list[Any]:
+        """Remove and return up to ``limit`` items, oldest first."""
+        items = self._items
+        if len(items) <= limit:
+            out = list(items)
+            items.clear()
+        else:
+            out = [items.popleft() for _ in range(limit)]
+        self.taken += len(out)
+        return out
 
     def close(self) -> None:
-        """Wake the consumer; pending items after the sentinel are shed."""
-        if self.closed:
-            return
+        """Refuse further offers and shed whatever is still queued."""
         self.closed = True
-        # Reserved headroom (maxsize = capacity + 1) guarantees room.
-        self._queue.put_nowait(_CLOSE)
+        self._items.clear()
 
 
 class RoutingTable:
@@ -292,12 +321,15 @@ class LiveBroker:
         delivered = 0
         dropped = 0
         missed = matched - int(reach.sum())
+        events = [Publication(pt, sent_at, event_id)
+                  for pt, event_id in zip(pts, event_ids)]
+        queues = self._queues
         # Event-major, subscriber-ascending: each queue sees event order.
-        for i, j in zip(*np.nonzero(reach.T)):
-            queue = self._queues.get(int(j))
+        for i, j in zip(*(a.tolist() for a in np.nonzero(reach.T))):
+            queue = queues.get(j)
             if queue is None:  # unsubscribed after the snapshot
                 missed += 1
-            elif queue.offer((pts[i], sent_at, event_ids[i])):
+            elif queue.offer(events[i]):
                 self.deliveries[j] += 1
                 delivered += 1
             else:

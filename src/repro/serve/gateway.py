@@ -3,9 +3,14 @@
 ``ServeDaemon`` binds a listening socket and speaks the newline-delimited
 JSON protocol of :mod:`repro.serve.protocol`.  Each connection may issue
 any mix of ops; a connection that subscribes becomes the delivery
-channel for those subscribers — a per-subscriber *pump* task drains the
-broker's bounded delivery queue into the connection's writer, so one
-slow client sheds its own events (queue drops) without stalling anyone
+channel for those subscribers.  Every connection owns one *pump* task.
+An offer into an empty subscriber queue marks that subscriber ready on
+its connection and wakes the pump, which drains every ready queue (up to
+``_PUMP_BATCH`` events each per round) and sends the round's frames in
+one socket write.  Each event is serialized once, however many
+subscribers receive it; a frame is that shared tail behind a short
+per-subscriber prefix.  A slow client stalls only its own pump, and its
+bounded queues shed the overflow (queue drops) without stalling anyone
 else.
 
 Mutating requests honour idempotency keys: the first response for a key
@@ -25,19 +30,18 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.problem import SAProblem
+from ..perf import fastlp
 from . import protocol
 from .broker import DeliveryQueue, LiveBroker
-from .reoptimizer import Reoptimizer, ReoptimizerConfig
+from .reoptimizer import LP_ALGORITHMS, Reoptimizer, ReoptimizerConfig
 
 __all__ = ["ServeConfig", "ServeDaemon"]
 
 #: Idempotency responses remembered per daemon before the oldest expire.
 _IDEMPOTENCY_CACHE_SIZE = 65536
 
-#: Events a pump drains per write: after awaiting one delivery, up to
-#: this many already-queued events ride the same lock acquisition and
-#: socket flush, so a bursty queue costs one syscall per batch instead
-#: of one per event.
+#: Events a pump takes from one subscriber's queue per round, so a deep
+#: queue cannot hold back the connection's other subscribers.
 _PUMP_BATCH = 64
 
 
@@ -62,19 +66,58 @@ class ServeConfig:
 
 
 class _Connection:
-    """Per-connection state: owned subscribers and their pump tasks."""
+    """Per-connection state: owned subscribers and their delivery pump."""
 
-    __slots__ = ("writer", "write_lock", "subscribers", "pumps", "conn_id")
+    __slots__ = ("writer", "write_lock", "subscribers", "conn_id", "ready",
+                 "wake", "pump")
 
     def __init__(self, writer: asyncio.StreamWriter, conn_id: int):
         self.writer = writer
         self.write_lock = asyncio.Lock()
         self.subscribers: set[int] = set()
-        self.pumps: dict[int, asyncio.Task] = {}
         #: Namespaces this connection's idempotency keys: two clients
         #: reusing the same key string must never see each other's
         #: cached responses.
         self.conn_id = conn_id
+        #: Subscriber queues holding events the pump has not taken yet.
+        self.ready: dict[int, DeliveryQueue] = {}
+        self.wake = asyncio.Event()
+        self.pump = asyncio.get_running_loop().create_task(self.deliver())
+
+    def mark_ready(self, queue: DeliveryQueue) -> None:
+        """The ``on_ready`` hook of every queue this connection owns."""
+        self.ready[queue.subscriber] = queue
+        self.wake.set()
+
+    async def deliver(self) -> None:
+        """The pump: drain the ready queues into the writer, round by round.
+
+        A round swaps out the ready set, takes up to ``_PUMP_BATCH``
+        events from each queue in it, numbers them with that
+        subscriber's ``seq`` and sends every frame in one write.  A
+        queue with events left over goes back into the ready set.
+        """
+        try:
+            while True:
+                await self.wake.wait()
+                self.wake.clear()
+                ready, self.ready = self.ready, {}
+                frames = []
+                for j, queue in ready.items():
+                    seq = queue.taken
+                    for event in queue.take(_PUMP_BATCH):
+                        frames.append(protocol.event_frame(j, seq,
+                                                           event.tail()))
+                        seq += 1
+                    if queue:
+                        self.ready[j] = queue
+                if self.ready:
+                    self.wake.set()
+                if frames:
+                    async with self.write_lock:
+                        await protocol.write_frames(self.writer, frames)
+        except (ConnectionResetError, BrokenPipeError):
+            pass
 
 
 class ServeDaemon:
@@ -119,6 +162,11 @@ class ServeDaemon:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
+        if self.config.reopt_algorithm in LP_ALGORITHMS:
+            # Import scipy now, off the loop: the first re-optimization
+            # holds churn_lock, and every churn op would wait out the
+            # import behind it.
+            await asyncio.to_thread(fastlp.load_backend)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
             limit=protocol.MAX_FRAME_BYTES)
@@ -172,8 +220,12 @@ class ServeDaemon:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(conn)
-            await self._teardown(conn)
+            # Listed until torn down, so stop() still closes a socket
+            # whose teardown is waiting for churn_lock.
+            try:
+                await self._teardown(conn)
+            finally:
+                self._connections.discard(conn)
 
     async def _send(self, conn: _Connection, message: dict[str, Any]) -> None:
         async with conn.write_lock:
@@ -181,8 +233,7 @@ class ServeDaemon:
 
     async def _teardown(self, conn: _Connection) -> None:
         """Auto-unsubscribe a closing connection's subscribers (churn)."""
-        for pump in conn.pumps.values():
-            pump.cancel()
+        conn.pump.cancel()
         if conn.subscribers:
             async with self.churn_lock:
                 for j in list(conn.subscribers):
@@ -255,8 +306,7 @@ class ServeDaemon:
             async with self.churn_lock:
                 leaf = self.broker.subscribe(j)
                 conn.subscribers.add(j)
-                conn.pumps[j] = asyncio.get_running_loop().create_task(
-                    self._pump(self.broker.queue(j), conn, j))
+                self.broker.queue(j).bind(conn.mark_ready)
             return protocol.reply(request, subscriber=j, leaf=leaf,
                                   routing_version=self.broker.routing.version)
         if op == "unsubscribe":
@@ -264,9 +314,6 @@ class ServeDaemon:
             async with self.churn_lock:
                 self.broker.unsubscribe(j)
                 conn.subscribers.discard(j)
-                pump = conn.pumps.pop(j, None)
-            if pump is not None:
-                pump.cancel()
             return protocol.reply(request, subscriber=j)
         sent_at = request.get("sentAt")
         if sent_at is not None and not isinstance(sent_at, (int, float)):
@@ -298,46 +345,6 @@ class ServeDaemon:
         summary = self.broker.publish(point, sent_at=sent_at,
                                       event_id=request.get("eventId"))
         return protocol.reply(request, **summary)
-
-    async def _pump(self, queue: DeliveryQueue, conn: _Connection,
-                    subscriber: int) -> None:
-        """Drain one delivery queue into the owning connection.
-
-        Micro-batched: after awaiting the first delivery, everything
-        already queued (up to ``_PUMP_BATCH``) is drained and written
-        under one lock acquisition with a single flush, so bursty
-        traffic (an epoch block, a ``publish_batch``) costs one syscall
-        per batch instead of one per event.
-        """
-        seq = 0
-        try:
-            while True:
-                item = await queue.get()
-                closing = DeliveryQueue.is_close(item)
-                batch = [] if closing else [item]
-                while not closing and len(batch) < _PUMP_BATCH:
-                    try:
-                        extra = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if DeliveryQueue.is_close(extra):
-                        closing = True
-                        break
-                    batch.append(extra)
-                if batch:
-                    messages = []
-                    for point, sent_at, event_id in batch:
-                        messages.append(protocol.event_message(
-                            subscriber, seq, [float(x) for x in point],
-                            sent_at, event_id))
-                        seq += 1
-                    async with conn.write_lock:
-                        await protocol.write_frames(conn.writer, messages)
-                if closing:
-                    return
-        except (asyncio.CancelledError, ConnectionResetError,
-                BrokenPipeError):
-            pass
 
     # -- stats ---------------------------------------------------------------
 

@@ -17,6 +17,12 @@ newline framing stays in sync even after a garbage line.
 ``publish_batch`` is the batched twin of ``publish``: one frame carries
 an event *column* (a list of points) that the broker routes and matches
 with one matrix step, returning the aggregate counts.
+
+Delivery frames are built from two parts so that an event fanned out to
+many subscribers is serialized once: :func:`event_tail` encodes the
+subscriber-independent end (``point``, ``sentAt``, ``eventId``) and
+:func:`event_frame` prefixes one subscriber's ``subscriber``/``seq``.
+The result is byte-identical to ``encode_frame(event_message(...))``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ __all__ = [
     "reply",
     "error_reply",
     "event_message",
+    "event_tail",
+    "event_frame",
 ]
 
 PROTOCOL_VERSION = 1
@@ -109,10 +117,9 @@ async def write_frame(writer: asyncio.StreamWriter,
 
 
 async def write_frames(writer: asyncio.StreamWriter,
-                       payloads: list[dict[str, Any]]) -> None:
-    """Write a run of frames with a single flush (micro-batched pumps)."""
-    for payload in payloads:
-        writer.write(encode_frame(payload))
+                       frames: list[bytes]) -> None:
+    """Write a run of encoded frames in one write with one flush."""
+    writer.write(b"".join(frames))
     await writer.drain()
 
 
@@ -146,3 +153,25 @@ def event_message(subscriber: int, seq: int, point: list[float],
     if event_id is not None:
         message["eventId"] = event_id
     return message
+
+
+def event_tail(point: list[float], sent_at: float | None,
+               event_id: Any = None) -> bytes:
+    """The subscriber-independent end of an event frame, newline included.
+
+    ``event_frame(j, seq, event_tail(point, sent_at, event_id))`` equals
+    ``encode_frame(event_message(j, seq, point, sent_at, event_id))``.
+    """
+    fields: dict[str, Any] = {"point": point}
+    if sent_at is not None:
+        fields["sentAt"] = sent_at
+    if event_id is not None:
+        fields["eventId"] = event_id
+    # Drop the opening brace: the prefix of event_frame supplies it.
+    return encode_frame(fields)[1:]
+
+
+def event_frame(subscriber: int, seq: int, tail: bytes) -> bytes:
+    """One subscriber's delivery frame around a shared :func:`event_tail`."""
+    return b'{"type":"event","subscriber":%d,"seq":%d,' % (subscriber,
+                                                           seq) + tail

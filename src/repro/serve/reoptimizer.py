@@ -23,9 +23,12 @@ from typing import Any
 from ..verify import guaranteed_checks, verify_solution
 from .broker import LiveBroker
 
-__all__ = ["ReoptimizerConfig", "Reoptimizer"]
+__all__ = ["LP_ALGORITHMS", "ReoptimizerConfig", "Reoptimizer"]
 
 logger = logging.getLogger(__name__)
+
+#: Algorithms that solve LPs (and take a rounding ``seed``).
+LP_ALGORITHMS = frozenset({"SLP1", "SLP"})
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class Reoptimizer:
         """Run one verified re-optimization under the churn lock."""
         config = self._config
         kwargs = ({"seed": config.seed}
-                  if config.algorithm in ("SLP1", "SLP") else {})
+                  if config.algorithm in LP_ALGORITHMS else {})
         async with self._lock:
             info = await asyncio.to_thread(
                 self._broker.reoptimize, config.algorithm,

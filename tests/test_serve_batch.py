@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ServeClient, ServeConfig, ServeDaemon, ServeError
-from repro.serve.broker import DeliveryQueue, LiveBroker
+from repro.serve.broker import LiveBroker
 from repro.workloads import GridConfig, generate_grid, one_level_problem
 
 
@@ -37,15 +37,7 @@ def event_batch(problem, n, seed=0):
 
 
 def drain(queue):
-    items = []
-    while True:
-        try:
-            item = queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return items
-        if DeliveryQueue.is_close(item):
-            return items
-        items.append(item)
+    return queue.take(len(queue))
 
 
 class TestBrokerBatch:
@@ -69,13 +61,14 @@ class TestBrokerBatch:
 
         # Queue contents: same events, same order, same metadata.
         for j in range(40):
-            seq_items = drain(seq_broker.queue(j)._queue)
-            batch_items = drain(batch_broker.queue(j)._queue)
+            seq_items = drain(seq_broker.queue(j))
+            batch_items = drain(batch_broker.queue(j))
             assert len(seq_items) == len(batch_items)
-            for (p1, s1, e1), (p2, s2, e2) in zip(seq_items, batch_items):
-                assert np.array_equal(p1, p2)
-                assert s1 == s2 == 1.5
-                assert e1 == e2
+            for e1, e2 in zip(seq_items, batch_items):
+                assert np.array_equal(e1.point, e2.point)
+                assert e1.sent_at == e2.sent_at == 1.5
+                assert e1.event_id == e2.event_id
+                assert e1.tail() == e2.tail()
 
     def test_empty_batch_is_a_no_op(self, problem):
         broker = make_broker(problem)

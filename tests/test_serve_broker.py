@@ -25,36 +25,38 @@ def sub_center(problem, j):
 
 class TestDeliveryQueue:
     def test_offer_and_drain(self):
-        async def body():
-            q = DeliveryQueue(subscriber=3, capacity=2)
-            assert q.offer("a") and q.offer("b")
-            assert q.enqueued == 2 and q.peak == 2
-            assert await q.get() == "a"
-            assert await q.get() == "b"
-
-        run(body())
+        q = DeliveryQueue(subscriber=3, capacity=2)
+        assert q.offer("a") and q.offer("b")
+        assert q.enqueued == 2 and q.peak == 2
+        assert q.take(1) == ["a"]
+        assert q.take(8) == ["b"]
+        assert q.taken == 2 and len(q) == 0
 
     def test_overflow_counts_drops(self):
-        async def body():
-            q = DeliveryQueue(subscriber=0, capacity=2)
-            assert q.offer(1) and q.offer(2)
-            assert not q.offer(3)
-            assert not q.offer(4)
-            assert q.dropped == 2 and q.enqueued == 2
+        q = DeliveryQueue(subscriber=0, capacity=2)
+        assert q.offer(1) and q.offer(2)
+        assert not q.offer(3)
+        assert not q.offer(4)
+        assert q.dropped == 2 and q.enqueued == 2
 
-        run(body())
+    def test_close_sheds_pending_and_rejects_offers(self):
+        q = DeliveryQueue(subscriber=0, capacity=4)
+        q.offer("x")
+        q.close()
+        q.close()  # idempotent
+        assert not q.offer("y")
+        assert q.take(8) == []
 
-    def test_close_wakes_consumer_and_rejects_offers(self):
-        async def body():
-            q = DeliveryQueue(subscriber=0, capacity=4)
-            q.offer("x")
-            q.close()
-            q.close()  # idempotent
-            assert not q.offer("y")
-            assert await q.get() == "x"
-            assert DeliveryQueue.is_close(await q.get())
-
-        run(body())
+    def test_offer_into_empty_queue_calls_ready_hook(self):
+        q = DeliveryQueue(subscriber=5, capacity=4)
+        woken = []
+        q.bind(woken.append)
+        q.offer("a")
+        q.offer("b")
+        assert woken == [q]           # only the empty -> non-empty offer
+        q.take(8)
+        q.offer("c")
+        assert woken == [q, q]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -89,7 +91,7 @@ class TestBackpressure:
             broker.publish(point)
             broker.publish(point)
             broker.publish(point)  # dropped
-            await broker.queue(0).get()
+            broker.queue(0).take(1)
             broker.publish(point)  # fits again
             assert broker.deliveries[0] == 3
             assert broker.drops[0] == 1

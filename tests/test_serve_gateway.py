@@ -215,6 +215,27 @@ class TestLifecycle:
 
         asyncio.run(with_daemon(problem, body))
 
+    def test_stop_closes_a_connection_still_tearing_down(self, problem):
+        async def body():
+            daemon = ServeDaemon(problem, serve_config())
+            await daemon.start()
+            client = await ServeClient.connect("127.0.0.1", daemon.port)
+            await client.subscribe(0)
+            [conn] = daemon._connections
+            # Hold churn_lock (as a re-optimization would) so the
+            # teardown of the dropped connection cannot finish.
+            async with daemon.churn_lock:
+                await client.close()
+                for _ in range(50):
+                    if conn.pump.done():  # teardown has started
+                        break
+                    await asyncio.sleep(0.02)
+                assert conn.pump.done()
+                await daemon.stop()
+                assert conn.writer.transport.is_closing()
+
+        asyncio.run(body())
+
     def test_unsubscribe_stops_delivery(self, problem):
         async def body(daemon):
             async with await ServeClient.connect(
