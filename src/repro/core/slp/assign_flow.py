@@ -75,23 +75,20 @@ class _SlotState:
         # Slot volumes, maintained on commit (0 for unused slots) so the
         # hot costs() path need not recompute a prod per slot per call.
         self.volume = np.zeros((num_targets, alpha))
-        self._slot_index = np.arange(alpha)[None, :]
 
     def costs(self, targets: np.ndarray, rect_lo: np.ndarray,
               rect_hi: np.ndarray) -> np.ndarray:
-        slot_lo = self.lo[targets]
-        slot_hi = self.hi[targets]
-        counts = self.count[targets]
-        used = self._slot_index < counts[:, None]
-        grown_lo = np.minimum(slot_lo, rect_lo[None, None, :])
-        grown_hi = np.maximum(slot_hi, rect_hi[None, None, :])
-        old = np.where(used, self.volume[targets], 0.0)
-        new = np.prod(grown_hi - grown_lo, axis=2)
-        enlargement = np.where(used, new - old, np.inf)
-        best = enlargement.min(axis=1)
-        rect_volume = float(np.prod(rect_hi - rect_lo))
-        open_cost = np.where(counts < self.alpha, rect_volume, np.inf)
-        return np.minimum(best, open_cost)
+        """Least enlargement per target, opening a free slot included.
+
+        An unused slot (``lo=+inf``, ``hi=-inf``, volume 0) grows to
+        exactly the rect, so its enlargement is the rect's own volume —
+        the cost of opening it — and a full target has no unused slot.
+        """
+        grown_lo = np.minimum(self.lo[targets], rect_lo[None, None, :])
+        grown_hi = np.maximum(self.hi[targets], rect_hi[None, None, :])
+        enlargement = np.prod(grown_hi - grown_lo, axis=2) \
+            - self.volume[targets]
+        return enlargement.min(axis=1)
 
     def _refresh_volume(self, target: int, slot: int) -> None:
         self.volume[target, slot] = np.prod(np.maximum(
@@ -117,6 +114,26 @@ class _SlotState:
             self.lo[target, slot] = np.minimum(self.lo[target, slot], rect_lo)
             self.hi[target, slot] = np.maximum(self.hi[target, slot], rect_hi)
             self._refresh_volume(target, slot)
+
+
+def _locality_pick(state: _SlotState, options: np.ndarray,
+                   sub_lo: np.ndarray, sub_hi: np.ndarray,
+                   loads: np.ndarray, kappas: np.ndarray,
+                   cover_cost: np.ndarray) -> int:
+    """The open target a subscription joins under the locality rule.
+
+    Least slot enlargement first, then the tightest covering rect
+    (``cover_cost`` is the subscriber's column of coverage costs), then
+    the least relative load.  A lone option needs no ranking.
+    """
+    if len(options) == 1:
+        return int(options[0])
+    enlargement = state.costs(options, sub_lo, sub_hi)
+    ranked = np.lexsort((
+        loads[options] / np.maximum(kappas[options], 1e-12),
+        cover_cost[options],
+        enlargement))
+    return int(options[ranked[0]])
 
 
 def _capacities(view: SLPView, betabar: float) -> np.ndarray:
@@ -307,16 +324,10 @@ def assign_subscriptions(view: SLPView, filters: list[RectSet],
         options = coverers[j]
         open_mask = loads[options] < caps[options]
         if open_mask.any():
-            open_options = options[open_mask]
             sub_lo = view.subscriptions.lo[j]
             sub_hi = view.subscriptions.hi[j]
-            enlargement = state.costs(open_options, sub_lo, sub_hi)
-            ranked = np.lexsort((
-                loads[open_options] / np.maximum(
-                    view.kappas_effective[open_options], 1e-12),
-                cost[open_options, j],
-                enlargement))
-            pick = int(open_options[ranked[0]])
+            pick = _locality_pick(state, options[open_mask], sub_lo, sub_hi,
+                                  loads, view.kappas_effective, cost[:, j])
             assigned[j] = pick
             subs_of[pick].add(int(j))
             loads[pick] += 1
@@ -492,16 +503,10 @@ def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
         options = coverers[j]
         open_mask = loads[options] + weights[j] <= caps[options]
         if open_mask.any():
-            open_options = options[open_mask]
             sub_lo = view.subscriptions.lo[j]
             sub_hi = view.subscriptions.hi[j]
-            enlargement = state.costs(open_options, sub_lo, sub_hi)
-            ranked = np.lexsort((
-                loads[open_options] / np.maximum(
-                    view.kappas_effective[open_options], 1e-12),
-                cost[open_options, j],
-                enlargement))
-            pick = int(open_options[ranked[0]])
+            pick = _locality_pick(state, options[open_mask], sub_lo, sub_hi,
+                                  loads, view.kappas_effective, cost[:, j])
             assigned[j] = pick
             loads[pick] += weights[j]
             state.commit(pick, sub_lo, sub_hi)

@@ -83,12 +83,16 @@ def _weighted_sample(rng: np.random.Generator, weights: np.ndarray,
 
 
 def _run_helper(view: SLPView, sample: np.ndarray, rng: np.random.Generator,
-                config: FilterAssignConfig) -> tuple[list[RectSet], float] | None:
+                config: FilterAssignConfig,
+                info: dict[str, Any]) -> tuple[list[RectSet], float] | None:
     """FilterAssignHelper: add a load-balance sample, generate candidates, solve.
 
     Retries with a fresh ``Sb`` when a random draw makes the LP infeasible
     (paper: "to guard against the small possibility that a random choice
-    of Sb makes the ... problem infeasible").
+    of Sb makes the ... problem infeasible").  Every attempt solves one LP
+    (FilterGen always includes the global MEB, so ``lp_relax`` never
+    rejects a sample before solving) and is counted in
+    ``info["lp_calls"]``.
     """
     m = view.num_subscribers
     sb_size = min(config.sb_factor * view.num_targets, m)
@@ -111,6 +115,7 @@ def _run_helper(view: SLPView, sample: np.ndarray, rng: np.random.Generator,
                            float(betas[attempt]), rng,
                            weights=None if view.weights is None
                            else view.weights[sa])
+        info["lp_calls"] += 1
         if outcome is not None:
             return outcome.filters, outcome.fractional_objective
     return None
@@ -123,6 +128,17 @@ def _fallback(view: SLPView, started: float, info: dict[str, Any]) -> FilterAssi
     info.update(fallback=True, runtime_seconds=time.perf_counter() - started)
     return FilterAssignResult(filters=[one for _ in range(view.num_targets)],
                               fractional_objective=None, info=info)
+
+
+def _finish(result: FilterAssignResult,
+            info: dict[str, Any]) -> FilterAssignResult:
+    """Stamp the run's final LP count on the result being returned.
+
+    A candidate's ``info`` is a snapshot taken when it was built; the
+    solves made after that belong to the run all the same.
+    """
+    result.info["lp_calls"] = info["lp_calls"]
+    return result
 
 
 def prune_redundant_rects(view: SLPView,
@@ -263,8 +279,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                 q = max(1, math.ceil(config.sample_factor * g
                                      * math.log(max(g, 2))))
                 sample = _weighted_sample(rng, weights, q)
-                info["lp_calls"] += 1
-                helper = _run_helper(view, sample, rng, config)
+                helper = _run_helper(view, sample, rng, config, info)
                 if helper is None:
                     # An unlucky sample can make the LP infeasible (e.g. a
                     # load-balance draw conflicting with latency); treat it
@@ -273,7 +288,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                     consecutive_helper_failures += 1
                     info["helper_failures"] = info.get("helper_failures", 0) + 1
                     if consecutive_helper_failures >= config.helper_retries * 2:
-                        return best if best is not None \
+                        return _finish(best, info) if best is not None \
                             else _fallback(view, started, info)
                     continue
                 consecutive_helper_failures = 0
@@ -297,7 +312,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                     if not config.require_load_feasible:
                         candidate.info["runtime_seconds"] = \
                             time.perf_counter() - started
-                        return candidate
+                        return _finish(candidate, info)
                     # Acceptance additionally requires a load-feasible
                     # assignment; unrouted subscribers become violators so
                     # the reweighting steers future samples toward them.
@@ -309,7 +324,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                     if outcome.feasible:
                         candidate.info["runtime_seconds"] = \
                             time.perf_counter() - started
-                        return candidate
+                        return _finish(candidate, info)
                     if unrouted < best_unrouted:
                         best_unrouted = unrouted
                         best = candidate
@@ -328,5 +343,5 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
     if best is not None:
         best.info["runtime_seconds"] = time.perf_counter() - started
         best.info["accepted_with_unrouted"] = best_unrouted
-        return best
+        return _finish(best, info)
     return _fallback(view, started, info)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .meb import meb_of_subset
 from .rectangle import RectSet
 
 __all__ = ["kmeans", "cluster_rects_to_mebs", "alpha_meb_cover"]
@@ -45,6 +44,65 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centers
 
 
+def _pairwise_sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Sum ``terms`` over axis 0, in place, in ``np.add.reduce``'s order.
+
+    A reduction along a contiguous axis of ``n`` elements adds
+    sequentially below 8 elements; from 8 up it keeps 8 interleaved
+    accumulators over the largest multiple-of-8 prefix, combines them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
+    rest in order; above 128 it first splits in two halves (the first a
+    multiple of 8 long).  Running those steps on whole rows gives, element
+    for element, the floats ``np.add.reduce`` gives over the last axis of
+    ``np.moveaxis(terms, 0, -1)``.  (The reduction starts from ``0.0``,
+    which only turns a ``-0.0`` first term into ``0.0``.)  Returns
+    ``terms[0]``, which holds the sums.
+    """
+    n = len(terms)
+    if n < 8:
+        for row in range(1, n):
+            terms[0] += terms[row]
+    elif n <= 128:
+        stop = n - n % 8
+        for block in range(8, stop, 8):
+            terms[:8] += terms[block:block + 8]
+        terms[0:8:2] += terms[1:8:2]
+        terms[0:8:4] += terms[2:8:4]
+        terms[0] += terms[4]
+        for row in range(stop, n):
+            terms[0] += terms[row]
+    else:
+        half = n // 2
+        half -= half % 8
+        _pairwise_sum_rows(terms[:half])
+        terms[0] += _pairwise_sum_rows(terms[half:])
+    return terms[0]
+
+
+def _cluster_means(pts: np.ndarray, labels: np.ndarray,
+                   sizes: np.ndarray) -> np.ndarray:
+    """Per-cluster means, bit-identical to ``pts[labels == c].mean(axis=0)``.
+
+    For ``d >= 2`` that mean sums each coordinate sequentially in input
+    order, which ``np.add.at`` reproduces in one call.  For ``d == 1``
+    numpy reduces along the contiguous axis pairwise instead; a
+    ``reduceat`` over label-sorted values with a ``0.0`` put in front of
+    each cluster reproduces that (``reduceat`` adds the first element to
+    the pairwise sum of the rest).  Every cluster must be non-empty.
+    """
+    k, d = len(sizes), pts.shape[1]
+    if d == 1:
+        order = np.argsort(labels, kind="stable")
+        starts = np.cumsum(sizes) - sizes + np.arange(k)
+        padded = np.zeros(len(labels) + k)
+        padded[np.delete(np.arange(len(padded)), starts)] = pts[order, 0]
+        sums = np.add.reduceat(padded, starts)[:, None]
+    else:
+        sums = np.zeros((k, d))
+        np.add.at(sums, labels, pts)
+    return sums / sizes[:, None]
+
+
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
            max_iterations: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding.
@@ -63,22 +121,27 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
 
     centers = _kmeans_plus_plus(pts, k, rng)
     labels = np.zeros(n, dtype=int)
-    diff = np.empty((n, k, pts.shape[1]))
+    columns = pts.T[:, None, :]
+    diff = np.empty((pts.shape[1], k, n))
     for _ in range(max_iterations):
-        # Assignment step: same subtract/square/reduce/sqrt sequence as
-        # ``np.linalg.norm(pts[:, None] - centers[None], axis=2)`` (so the
-        # floats are identical), with the big intermediate reused.
-        np.subtract(pts[:, None, :], centers[None, :, :], out=diff)
+        # Assignment step: the floats of ``np.linalg.norm(pts[:, None] -
+        # centers[None], axis=2)``, with the coordinate axis first so the
+        # sum over it is a handful of whole-array adds.
+        np.subtract(columns, centers.T[:, :, None], out=diff)
         np.multiply(diff, diff, out=diff)
-        distances = np.sqrt(np.add.reduce(diff, axis=2))
-        new_labels = distances.argmin(axis=1)
+        distances = np.sqrt(_pairwise_sum_rows(diff))
+        new_labels = distances.argmin(axis=0)
 
-        # Re-seed empty clusters on the points farthest from their centers
-        # (cluster sizes tracked incrementally: one bincount, not k scans).
+        # Re-seed empty clusters on the points farthest from their
+        # centers.  A cluster's last point is never taken, so each
+        # re-seed leaves every other cluster non-empty.
         sizes = np.bincount(new_labels, minlength=k)
-        for cluster in range(k):
-            if sizes[cluster] == 0:
-                farthest = distances[np.arange(n), new_labels].argmax()
+        empty = np.flatnonzero(sizes == 0)
+        if len(empty):
+            farness = distances[new_labels, np.arange(n)]
+            for cluster in empty:
+                farthest = int(np.where(sizes[new_labels] > 1, farness,
+                                        -np.inf).argmax())
                 sizes[new_labels[farthest]] -= 1
                 sizes[cluster] = 1
                 new_labels[farthest] = cluster
@@ -87,16 +150,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
-        # Update step over label-sorted slices (stable sort keeps each
-        # cluster's points in input order, so the per-cluster mean is the
-        # same float result the boolean-mask form produced).
-        order = np.argsort(labels, kind="stable")
-        sorted_pts = pts[order]
-        bounds = np.searchsorted(labels[order], np.arange(k + 1))
-        for cluster in range(k):
-            start, stop = bounds[cluster], bounds[cluster + 1]
-            if stop > start:
-                centers[cluster] = sorted_pts[start:stop].mean(axis=0)
+        centers = _cluster_means(pts, labels, sizes)
     return labels, centers
 
 
@@ -117,16 +171,11 @@ def cluster_rects_to_mebs(rects: RectSet, k: int, rng: np.random.Generator,
     if features is None:
         features = np.hstack([rects.lo, rects.hi])
     labels, _ = kmeans(features, k, rng)
-
-    unique = np.unique(labels)
-    remap = {cluster: row for row, cluster in enumerate(unique)}
-    lo = np.empty((len(unique), rects.dim))
-    hi = np.empty((len(unique), rects.dim))
-    for cluster, row in remap.items():
-        mask = labels == cluster
-        lo[row] = rects.lo[mask].min(axis=0)
-        hi[row] = rects.hi[mask].max(axis=0)
-    mapped = np.array([remap[c] for c in labels], dtype=int)
+    unique, mapped = np.unique(labels, return_inverse=True)
+    order = np.argsort(mapped, kind="stable")
+    starts = np.searchsorted(mapped[order], np.arange(len(unique)))
+    lo = np.minimum.reduceat(rects.lo[order], starts, axis=0)
+    hi = np.maximum.reduceat(rects.hi[order], starts, axis=0)
     return RectSet(lo, hi, validate=False), mapped
 
 
@@ -145,35 +194,31 @@ def alpha_meb_cover(rects: RectSet, alpha: int, rng: np.random.Generator,
     if len(rects) <= alpha:
         return rects
 
-    mebs, labels = cluster_rects_to_mebs(rects, alpha, rng)
-    groups = labels.copy()
+    mebs, groups = cluster_rects_to_mebs(rects, alpha, rng)
     group_count = len(mebs)
 
-    for _ in range(refinement_passes):
-        changed = False
-        # Current group MEBs.
+    def group_mebs() -> tuple[np.ndarray, np.ndarray]:
         group_lo = np.full((group_count, rects.dim), np.inf)
         group_hi = np.full((group_count, rects.dim), -np.inf)
-        for g in range(group_count):
-            mask = groups == g
-            if mask.any():
-                group_lo[g] = rects.lo[mask].min(axis=0)
-                group_hi[g] = rects.hi[mask].max(axis=0)
-        for i in range(len(rects)):
-            # Enlargement of each group's MEB if box i joined it.
-            cand_lo = np.minimum(group_lo, rects.lo[i])
-            cand_hi = np.maximum(group_hi, rects.hi[i])
-            enlarged = np.prod(cand_hi - cand_lo, axis=1)
-            base = np.prod(np.maximum(group_hi - group_lo, 0.0), axis=1)
-            base[~np.isfinite(base)] = 0.0
-            cost = enlarged - base
-            best = int(cost.argmin())
-            if best != groups[i]:
-                groups[i] = best
-                changed = True
-        if not changed:
-            break
+        np.minimum.at(group_lo, groups, rects.lo)
+        np.maximum.at(group_hi, groups, rects.hi)
+        return group_lo, group_hi
 
-    occupied = [g for g in range(group_count) if np.any(groups == g)]
-    covers = [meb_of_subset(rects, groups == g) for g in occupied]
-    return RectSet.from_rects(covers)
+    for _ in range(refinement_passes):
+        # The group MEBs stay fixed within a pass, so every box's best
+        # group is independent of the other boxes' moves: one (n, G, d)
+        # enlargement and one argmin per pass.
+        group_lo, group_hi = group_mebs()
+        cand_lo = np.minimum(group_lo[None, :, :], rects.lo[:, None, :])
+        cand_hi = np.maximum(group_hi[None, :, :], rects.hi[:, None, :])
+        enlarged = np.prod(cand_hi - cand_lo, axis=2)
+        base = np.prod(np.maximum(group_hi - group_lo, 0.0), axis=1)
+        base[~np.isfinite(base)] = 0.0
+        best = (enlarged - base).argmin(axis=1)
+        if np.array_equal(best, groups):
+            break
+        groups = best
+
+    group_lo, group_hi = group_mebs()
+    occupied = np.bincount(groups, minlength=group_count) > 0
+    return RectSet(group_lo[occupied], group_hi[occupied], validate=False)
