@@ -73,11 +73,6 @@ from .runtime import (
     apply_fault_plan,
     replay_churn,
 )
-from .shard import (
-    ShardPlan,
-    plan_shards,
-    replan_shards,
-)
 from .workloads import (
     GoogleGroupsConfig,
     GridConfig,
@@ -112,7 +107,6 @@ __all__ = [
     "DisseminationEngine", "RuntimeConfig", "RuntimeResult",
     "BrokerOutage", "FaultPlan", "GreedyFailover", "apply_fault_plan",
     "ReplayConfig", "replay_churn", "Telemetry",
-    "ShardPlan", "plan_shards", "replan_shards",
     "Workload", "one_level_problem", "multilevel_problem",
     "GoogleGroupsConfig", "generate_google_groups",
     "RssConfig", "generate_rss", "GridConfig", "generate_grid",

@@ -35,7 +35,7 @@ __all__ = ["UnseededRngRule", "GlobalRngRule", "WallClockRule",
 #: latency measurement are wall-clock by nature.
 DETERMINISM_PACKAGES = frozenset({
     "core", "flow", "geometry", "workloads", "verify",
-    "pubsub", "network", "dynamic", "metrics", "runtime", "shard",
+    "pubsub", "network", "dynamic", "metrics", "runtime",
 })
 
 #: Constructors that must receive an explicit seed (or spawned generator).

@@ -24,7 +24,6 @@ import numpy as np
 from ..core.problem import SAProblem
 from ..core.registry import get_algorithm
 from ..metrics.report import SolutionReport, evaluate_solution
-from ..perf.cache import geometry_cache
 
 __all__ = ["AlgorithmRun", "run_algorithms", "average_reports",
            "json_output_dir", "write_bench_json", "runs_payload",
@@ -56,12 +55,9 @@ def run_algorithms(problem: SAProblem, names: Iterable[str],
     runs = []
     for name in names:
         fn = get_algorithm(name)
-        # Reuse geometry (containment/volume) computations across the
-        # pipeline stages of each run, exactly as SLP1/SLP do internally.
-        with geometry_cache():
-            started = time.perf_counter()
-            solution = fn(problem, **dict(kwargs.get(name, {})))
-            elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        solution = fn(problem, **dict(kwargs.get(name, {})))
+        elapsed = time.perf_counter() - started
         report = evaluate_solution(name, solution, runtime_seconds=elapsed)
         runs.append(AlgorithmRun(name=name, report=report, solution=solution))
     return runs

@@ -85,7 +85,6 @@ from .core.registry import algorithm_names, get_algorithm
 from .core.slp import AggregationConfig
 from .dynamic import DynamicPubSub, generate_churn_trace
 from .metrics import evaluate_solution, runtime_report_rows, total_bandwidth
-from .perf.cache import geometry_cache
 from .perf.profiler import profiled
 from .perf.regression import calibrate, check_regression
 from .pubsub import UniformEvents, simulate_dissemination
@@ -279,6 +278,18 @@ def _command_dynamic(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for integers of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_outage(spec: str) -> BrokerOutage:
     """Parse ``NODE:START[:END]`` into a :class:`BrokerOutage`."""
     parts = spec.split(":")
@@ -434,7 +445,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     best_profiler = None
     best_solution = None
     for _ in range(max(args.repeats, 1)):
-        with profiled() as profiler, geometry_cache():
+        with profiled() as profiler:
             started = time.perf_counter()
             solution = fn(problem, **kwargs)
             elapsed = time.perf_counter() - started
@@ -505,12 +516,11 @@ def _command_serve(args: argparse.Namespace) -> int:
     _workload, problem = _build_problem(args)
     config = ServeConfig(
         host=args.host, port=args.port,
-        queue_capacity=args.queue_capacity or 1024,
+        queue_capacity=args.queue_capacity,
         seed=args.seed,
         reopt_threshold=args.reopt_threshold,
         reopt_poll_interval=args.reopt_poll,
-        reopt_algorithm=args.reopt_algorithm,
-        shards=args.shards)
+        reopt_algorithm=args.reopt_algorithm)
     daemon = ServeDaemon(problem, config)
 
     async def _serve() -> None:
@@ -768,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7411,
                        help="TCP port (0 = ephemeral, printed on startup)")
-    serve.add_argument("--queue-capacity", type=int, default=1024,
+    serve.add_argument("--queue-capacity", type=_positive_int, default=1024,
                        help="per-subscriber delivery queue depth")
     serve.add_argument("--reopt-threshold", type=int, default=64,
                        help="churn events triggering a re-optimization")
@@ -776,9 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between churn checks")
     serve.add_argument("--reopt-algorithm", default="SLP1",
                        choices=algorithm_names())
-    serve.add_argument("--shards", type=int, default=1,
-                       help="shard the broker's matcher into N subscription "
-                            "subgroups with cover-filter routing")
     serve.add_argument("--run-for", type=float, default=None,
                        help="shut down cleanly after N seconds "
                             "(default: run until interrupted)")

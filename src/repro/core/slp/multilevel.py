@@ -28,7 +28,6 @@ from typing import Any
 
 import numpy as np
 
-from ...perf.cache import geometry_cache
 from ...perf.profiler import span
 from ..problem import SAProblem, SASolution, filters_from_assignment
 from .aggregate import AggregationConfig, distribute_aggregated
@@ -248,13 +247,11 @@ def slp(problem: SAProblem, *, seed: int = 0, gamma: int = 0,
         for row, child in enumerate(children):
             recurse(child, members[targets == row])
 
-    with geometry_cache() as cache:
-        recurse(0, np.arange(m))
-        with span("rebalance"):
-            assignment = _global_rebalance(problem, assignment, info)
-        with span("adjust"):
-            filters = filters_from_assignment(problem, assignment, rng)
-        info["geometry_cache"] = cache.stats()
+    recurse(0, np.arange(m))
+    with span("rebalance"):
+        assignment = _global_rebalance(problem, assignment, info)
+    with span("adjust"):
+        filters = filters_from_assignment(problem, assignment, rng)
 
     fractional = (info["fractional_sum"]
                   if info["fractional_levels"] else None)

@@ -25,7 +25,6 @@ import time
 
 import numpy as np
 
-from ...perf.cache import geometry_cache
 from ...perf.profiler import span
 from ..problem import SAProblem, SASolution
 from .adjust import adjust_filters
@@ -51,41 +50,35 @@ def slp1(problem: SAProblem, *, seed: int = 0,
     :mod:`.aggregate`); ``None`` keeps the exact unaggregated pipeline,
     and so does an identity config (``max_group_size <= 1`` or a view
     below ``min_subscribers``) — bit-for-bit.
-
-    The whole run shares one geometry cache, so the containment matrices
-    FilterGen, LPRelax, the coverage/prune passes, and the assignment
-    compute over the same rectangle sets are each computed once.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     view = view_from_problem(problem)
 
-    with geometry_cache() as cache:
-        if aggregation is not None:
-            dist = distribute_aggregated(view, rng, config, aggregation)
-            target_of = dist.target_of
-            fractional = dist.fractional_objective
-            filter_assign_info = dist.preliminary.info
-            assignment_info = dist.outcome.info
-            achieved_beta = dist.outcome.achieved_beta
-            flow_feasible = dist.outcome.feasible
-            aggregation_info = dist.info
-        else:
-            preliminary: FilterAssignResult = filter_assign(view, rng, config)
-            with span("assign"):
-                outcome = assign_subscriptions(view, preliminary.filters)
-            target_of = outcome.target_of
-            fractional = preliminary.fractional_objective
-            filter_assign_info = preliminary.info
-            assignment_info = outcome.info
-            achieved_beta = outcome.achieved_beta
-            flow_feasible = outcome.feasible
-            aggregation_info = None
+    if aggregation is not None:
+        dist = distribute_aggregated(view, rng, config, aggregation)
+        target_of = dist.target_of
+        fractional = dist.fractional_objective
+        filter_assign_info = dist.preliminary.info
+        assignment_info = dist.outcome.info
+        achieved_beta = dist.outcome.achieved_beta
+        flow_feasible = dist.outcome.feasible
+        aggregation_info = dist.info
+    else:
+        preliminary: FilterAssignResult = filter_assign(view, rng, config)
+        with span("assign"):
+            outcome = assign_subscriptions(view, preliminary.filters)
+        target_of = outcome.target_of
+        fractional = preliminary.fractional_objective
+        filter_assign_info = preliminary.info
+        assignment_info = outcome.info
+        achieved_beta = outcome.achieved_beta
+        flow_feasible = outcome.feasible
+        aggregation_info = None
 
-        assignment = problem.tree.leaves[target_of]
-        with span("adjust"):
-            filters = adjust_filters(problem, assignment, rng)
-        cache_stats = cache.stats()
+    assignment = problem.tree.leaves[target_of]
+    with span("adjust"):
+        filters = adjust_filters(problem, assignment, rng)
 
     info = {
         "algorithm": "SLP1",
@@ -94,7 +87,6 @@ def slp1(problem: SAProblem, *, seed: int = 0,
         "flow_feasible": flow_feasible,
         "filter_assign": filter_assign_info,
         "assignment": assignment_info,
-        "geometry_cache": cache_stats,
     }
     if aggregation_info is not None:
         info["aggregation"] = aggregation_info

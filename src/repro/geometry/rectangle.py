@@ -15,18 +15,11 @@ invariant enforced at construction time.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = ["Rect", "RectSet"]
-
-#: Memoization hook installed by :func:`repro.perf.cache.geometry_cache`.
-#: When set, :meth:`RectSet.containment_matrix` and :meth:`RectSet.volumes`
-#: are served from the cache (keyed on content hashes); ``None`` keeps the
-#: geometry layer free of any caching behavior.
-_GEOMETRY_CACHE = None
 
 
 def _as_coords(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -157,7 +150,7 @@ class RectSet:
     mutating in place.
     """
 
-    __slots__ = ("_lo", "_hi", "_content_key")
+    __slots__ = ("_lo", "_hi")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, *, validate: bool = True) -> None:
         lo_arr = np.ascontiguousarray(lo, dtype=float)
@@ -170,7 +163,6 @@ class RectSet:
         hi_arr.setflags(write=False)
         self._lo = lo_arr
         self._hi = hi_arr
-        self._content_key: bytes | None = None
 
     @classmethod
     def empty(cls, dim: int) -> "RectSet":
@@ -217,37 +209,8 @@ class RectSet:
     def widths(self) -> np.ndarray:
         return self._hi - self._lo
 
-    def content_key(self) -> bytes:
-        """A digest of the coordinate content, computed once per set.
-
-        Two sets with equal coordinates share the key even when they are
-        distinct objects, which is what the geometry cache keys on.  The
-        hash cost is ``O(n d)`` — negligible next to the ``O(n m d)``
-        containment products it deduplicates.
-        """
-        key = self._content_key
-        if key is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(np.asarray(self._lo.shape, dtype=np.int64).tobytes())
-            digest.update(self._lo.tobytes())
-            digest.update(self._hi.tobytes())
-            key = digest.digest()
-            self._content_key = key
-        return key
-
     def volumes(self) -> np.ndarray:
-        """Per-box volumes, shape ``(n,)``.
-
-        Served from the active geometry cache when one is installed (see
-        :func:`repro.perf.cache.geometry_cache`); cached arrays are
-        read-only.
-        """
-        cache = _GEOMETRY_CACHE
-        if cache is not None:
-            return cache.volumes(self)
-        return self._compute_volumes()
-
-    def _compute_volumes(self) -> np.ndarray:
+        """Per-box volumes, shape ``(n,)``."""
         return np.prod(self._hi - self._lo, axis=1)
 
     def meb(self) -> Rect:
@@ -269,16 +232,7 @@ class RectSet:
 
         Shape ``(len(self), len(inner))``.  Cost is ``O(n * m * d)`` but fully
         vectorized; used to relate candidate filters to subscriptions.
-        Served from the active geometry cache when one is installed (see
-        :func:`repro.perf.cache.geometry_cache`); cached matrices are
-        read-only.
         """
-        cache = _GEOMETRY_CACHE
-        if cache is not None:
-            return cache.containment_matrix(self, inner)
-        return self._compute_containment_matrix(inner)
-
-    def _compute_containment_matrix(self, inner: "RectSet") -> np.ndarray:
         # Accumulate one (n, m) comparison per axis rather than reducing a
         # materialized (n, m, d) broadcast — same booleans, less memory
         # traffic on the hottest geometry kernel.

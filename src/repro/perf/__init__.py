@@ -1,19 +1,14 @@
-"""repro.perf — profiling, caching, and perf-regression gates.
+"""repro.perf — profiling and perf-regression gates.
 
-Three pillars, each usable on its own:
+Two pillars, each usable on its own:
 
 * :mod:`.profiler` — named per-stage wall-clock spans threaded through
   the SLP pipeline; near-zero cost when inactive, JSON-exportable when a
   :func:`profiled` block is active (``python -m repro profile``).
-* :mod:`.cache` — a scoped, content-addressed memo for
-  ``RectSet.containment_matrix`` / ``RectSet.volumes`` so FilterGen,
-  LPRelax, the assignment passes, adjustment, and evaluation share the
-  geometry they would otherwise recompute.
 * :mod:`.regression` — calibration-normalized comparison of profile
   payloads against committed baselines (the CI perf-smoke gate).
 """
 
-from .cache import GeometryCache, active_geometry_cache, geometry_cache
 from .profiler import Profiler, StageStat, active_profiler, profiled, span
 from .regression import (
     RegressionReport,
@@ -28,9 +23,6 @@ __all__ = [
     "profiled",
     "span",
     "active_profiler",
-    "GeometryCache",
-    "geometry_cache",
-    "active_geometry_cache",
     "RegressionReport",
     "StageComparison",
     "calibrate",

@@ -35,7 +35,6 @@ from ..network.tree import BrokerTree
 from ..pubsub.filters import Filter
 from ..pubsub.matching import best_matcher
 from ..pubsub.routing import RoutingPlan
-from ..shard import ShardedMatcher, ShardPlan, plan_shards, replan_shards
 from . import protocol
 
 __all__ = ["Publication", "DeliveryQueue", "RoutingTable", "LiveBroker"]
@@ -158,6 +157,14 @@ class RoutingTable:
         return entered, self._plan.reach(entered, self.assignment)
 
 
+def _coordinates(values: Any) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` when it holds non-numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"event coordinates must be numbers: {exc}") from None
+
+
 class LiveBroker:
     """The live service state machine behind the gateway.
 
@@ -169,27 +176,12 @@ class LiveBroker:
     """
 
     def __init__(self, problem: SAProblem, *, queue_capacity: int = 1024,
-                 seed: int = 0, shards: int = 1):
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
+                 seed: int = 0):
         self._problem = problem
         self._manager = DynamicPubSub(problem, seed=seed)
         # The population is fixed (subscribers churn by activation, not
         # by changing boxes), so the index can be chosen once up front.
-        # With --shards N the index is decomposed into cover-guarded
-        # subgroup matchers (exact; see repro.shard.matcher) that the
-        # batch route path probes shard-by-shard.
-        self._shard_plan: ShardPlan | None = None
-        self.shard_migrations = 0
-        if shards > 1:
-            # Group by feasibility signature: the assignment evolves
-            # under churn, the latency-feasible leaf sets do not.
-            self._shard_plan = plan_shards(problem.subscriptions, shards,
-                                           feasible=problem.feasible_leaf)
-            self._matcher: Any = ShardedMatcher(problem.subscriptions,
-                                                self._shard_plan)
-        else:
-            self._matcher = best_matcher(problem.subscriptions)
+        self._matcher = best_matcher(problem.subscriptions)
         self._queue_capacity = queue_capacity
         self._queues: dict[int, DeliveryQueue] = {}
 
@@ -273,7 +265,7 @@ class LiveBroker:
     def publish(self, point: Any, *, sent_at: float | None = None,
                 event_id: Any = None) -> dict[str, int]:
         """Route one event through the current table; returns the counts."""
-        pt = np.asarray(point, dtype=float)
+        pt = _coordinates(point)
         if pt.shape != (self._problem.event_dim,):
             raise ValueError(f"event point must have {self._problem.event_dim}"
                              f" coordinates, got shape {pt.shape}")
@@ -291,7 +283,7 @@ class LiveBroker:
         atomic with respect to churn from the event loop's point of
         view — it reads a single table snapshot.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = _coordinates(points)
         if pts.shape == (0,):
             pts = pts.reshape(0, self._problem.event_dim)
         if pts.ndim != 2 or pts.shape[1] != self._problem.event_dim:
@@ -355,18 +347,6 @@ class LiveBroker:
         if info.get("committed", True):
             self.churn_since_reopt = 0
             self._swap_routing()
-            if self._shard_plan is not None:
-                # Re-shard along the committed assignment, migrating as
-                # few subscribers as the max-flow rebalance allows, and
-                # rebuild the subgroup indexes around the new plan.
-                self._shard_plan, moved = replan_shards(
-                    self._problem.subscriptions, self._shard_plan,
-                    assignment=self._manager.assignment)
-                self.shard_migrations += moved
-                self._matcher = ShardedMatcher(self._problem.subscriptions,
-                                               self._shard_plan)
-                info = dict(info)
-                info["shard_migrations"] = moved
         return info
 
     # -- stats ---------------------------------------------------------------
@@ -394,7 +374,4 @@ class LiveBroker:
             "churn_since_reopt": self.churn_since_reopt,
             "routing_version": self._routing.version,
             "queue_depth_peak": max((q.peak for q in queues), default=0),
-            "shards": (self._shard_plan.num_shards
-                       if self._shard_plan is not None else 1),
-            "shard_migrations": self.shard_migrations,
         }

@@ -25,6 +25,7 @@ background :class:`~repro.serve.reoptimizer.Reoptimizer`.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -56,13 +57,10 @@ class ServeConfig:
     reopt_threshold: int = 64        #: churn events triggering re-optimization
     reopt_poll_interval: float = 0.25
     reopt_algorithm: str = "SLP1"
-    shards: int = 1                  #: subscription subgroups for routing
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
 
 
 class _Connection:
@@ -128,8 +126,7 @@ class ServeDaemon:
         self.config = config or ServeConfig()
         self.broker = LiveBroker(problem,
                                  queue_capacity=self.config.queue_capacity,
-                                 seed=self.config.seed,
-                                 shards=self.config.shards)
+                                 seed=self.config.seed)
         #: Serializes churn (subscribe/unsubscribe) against the
         #: thread-offloaded re-optimization.
         self.churn_lock = asyncio.Lock()
@@ -316,9 +313,9 @@ class ServeDaemon:
                 conn.subscribers.discard(j)
             return protocol.reply(request, subscriber=j)
         sent_at = request.get("sentAt")
-        if sent_at is not None and not isinstance(sent_at, (int, float)):
+        if sent_at is not None and not _is_finite_number(sent_at):
             raise protocol.ProtocolError(
-                protocol.ERR_INVALID, "sentAt must be a number")
+                protocol.ERR_INVALID, "sentAt must be a finite number")
         if op == "publish_batch":
             points = _field(request, "points")
             if not isinstance(points, (list, tuple)) or not all(
@@ -355,6 +352,15 @@ class ServeDaemon:
         payload["requests"] = self.requests
         payload["request_errors"] = self.request_errors
         return payload
+
+
+def _is_finite_number(value: Any) -> bool:
+    """A JSON number: an ``int`` that is not a ``bool``, or a finite float."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int):
+        return True
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def _field(request: dict[str, Any], name: str) -> Any:

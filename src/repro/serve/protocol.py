@@ -83,15 +83,25 @@ def encode_frame(payload: dict[str, Any]) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+#: Strict JSON: ``NaN``/``Infinity``/``-Infinity`` are not JSON, and a
+#: frame carrying one would be echoed to subscribers verbatim.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_frame(line: bytes) -> dict[str, Any]:
     """Parse one wire line into a message dict.
 
     Raises :class:`ProtocolError` (``bad-json``) when the line is not
-    valid JSON or not a JSON object.
+    valid JSON (including the non-standard ``NaN`` and ``Infinity``
+    constants) or not a JSON object.
     """
     try:
-        payload = json.loads(line.decode("utf-8", errors="strict"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = _DECODER.decode(line.decode("utf-8", errors="strict"))
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise ProtocolError(ERR_BAD_JSON, f"undecodable frame: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(ERR_BAD_JSON, "frame must be a JSON object")

@@ -273,6 +273,20 @@ class TestServeCommands:
         assert args.reopt_algorithm == "SLP1"
         assert args.run_for is None
 
+    @pytest.mark.parametrize("value", ["0", "-5", "many"])
+    def test_serve_bad_queue_capacity_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *SMALL, "--port", "0", "--run-for", "0.1",
+                  "--queue-capacity", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--queue-capacity" in err
+
+    def test_serve_queue_capacity_passed_through(self, capsys):
+        assert main(["serve", *SMALL, "--port", "0", "--run-for", "0.1",
+                     "--queue-capacity", "7"]) == 0
+        assert "queue capacity 7)" in capsys.readouterr().out
+
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(["loadgen"])
         assert args.active == 100

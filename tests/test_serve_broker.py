@@ -170,53 +170,3 @@ class TestBrokerStateMachine:
             assert after[leaf] == before[leaf] + 1  # reached the leaf
 
         run(body())
-
-
-class TestShardedBroker:
-    def test_sharded_routing_matches_unsharded(self, problem):
-        async def body():
-            plain = LiveBroker(problem, seed=3)
-            sharded = LiveBroker(problem, seed=3, shards=4)
-            assert sharded.stats()["shards"] > 1
-            for j in range(0, 40, 2):
-                assert plain.subscribe(j) == sharded.subscribe(j)
-            rng = np.random.default_rng(8)
-            points = rng.uniform(0.0, 100.0, size=(64, problem.event_dim))
-            for pt in points[:8]:
-                assert plain.publish(pt) == sharded.publish(pt)
-            assert plain.publish_batch(points[8:]) == \
-                sharded.publish_batch(points[8:])
-            ps, ss = plain.stats(), sharded.stats()
-            for key in ("published", "matched", "delivered", "missed",
-                        "broker_entries"):
-                assert ps[key] == ss[key], key
-
-        run(body())
-
-    def test_reoptimize_replans_shards(self, problem):
-        async def body():
-            broker = LiveBroker(problem, seed=3, shards=3)
-            for j in range(40):
-                broker.subscribe(j)
-            before = broker.stats()["shards"]
-            info = broker.reoptimize("Gr*")
-            assert info.get("committed", True)
-            assert "shard_migrations" in info
-            stats = broker.stats()
-            assert stats["shards"] >= 1
-            assert stats["shard_migrations"] == info["shard_migrations"]
-            assert before >= 1
-            # Routing still exact after the replan.
-            rng = np.random.default_rng(2)
-            points = rng.uniform(0.0, 100.0, size=(32, problem.event_dim))
-            plain = LiveBroker(problem, seed=3)
-            for j in range(40):
-                plain.subscribe(j)
-            plain.reoptimize("Gr*")
-            assert plain.publish_batch(points) == broker.publish_batch(points)
-
-        run(body())
-
-    def test_invalid_shard_count_rejected(self, problem):
-        with pytest.raises(ValueError):
-            LiveBroker(problem, shards=0)

@@ -59,6 +59,17 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             decode_frame(b"[1, 2]\n")
 
+    @pytest.mark.parametrize("line", [
+        b'{"op":"publish","point":[0.5,0.5],"sentAt":NaN}\n',
+        b'{"op":"publish","point":[0.5,0.5],"eventId":Infinity}\n',
+        b'{"op":"publish","point":[-Infinity,0.5]}\n',
+        b'{"op":"ping","id":' + b"9" * 5000 + b'}\n',
+    ], ids=["nan", "infinity", "minus-infinity", "over-long-int"])
+    def test_non_standard_json_rejected(self, line):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_frame(line)
+        assert excinfo.value.code == ERR_BAD_JSON
+
 
 class TestValidation:
     def test_bad_json_line_gets_error_reply_and_connection_survives(
@@ -109,6 +120,43 @@ class TestValidation:
                 stats = await client.stats()
                 assert stats["request_errors"] == 7
                 assert stats["active_subscribers"] == 0
+
+        asyncio.run(with_daemon(problem, body))
+
+    def test_non_finite_constants_get_bad_json_and_publish_nothing(
+            self, problem):
+        async def body(daemon):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            writer.write(b'{"op":"publish","point":[0.5,0.5],'
+                         b'"sentAt":NaN,"eventId":Infinity}\n')
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == ERR_BAD_JSON
+            # The connection keeps serving, and nothing was published.
+            writer.write(encode_frame({"op": "stats", "id": 2}))
+            await writer.drain()
+            stats = json.loads(await reader.readline())["stats"]
+            assert stats["request_errors"] == 1
+            assert stats["published"] == 0
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_daemon(problem, body))
+
+    @pytest.mark.parametrize("sent_at", [True, False])
+    def test_boolean_sent_at_is_invalid(self, problem, sent_at):
+        async def body(daemon):
+            async with await ServeClient.connect(
+                    "127.0.0.1", daemon.port) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    await client.request("publish", point=[0.5, 0.5],
+                                         sentAt=sent_at)
+                assert excinfo.value.code == ERR_INVALID
+                stats = await client.stats()
+                assert stats["request_errors"] == 1
+                assert stats["published"] == 0
 
         asyncio.run(with_daemon(problem, body))
 
