@@ -1,62 +1,80 @@
-"""Matching-index bench — grid and R-tree vs the brute-force oracle.
+#!/usr/bin/env python
+"""Matching-index bench — µs per event by block size, exact agreement.
 
-Leaf brokers match every incoming event against their assigned
-subscriptions, so ``match_points`` throughput bounds the dissemination
-simulator and the runtime engine.  This bench times all three indexes
-on one shared subscription set / event stream and **asserts exact
-agreement** — the differential-oracle requirement from ``repro.verify``
-— so a future speedup that changes results fails loudly here too.
+Leaf brokers match every incoming block of events against their
+assigned subscriptions, so ``match_points`` throughput bounds the
+dissemination simulator, the epoch runtime and the live broker.  Which
+index is cheapest depends on the block: the serve broker matches single
+events, the runtime 512-event epochs and the simulator 2,048-event
+chunks.  This bench pushes one fixed stream through the brute-force
+scan, the grid ``best_matcher`` picks (which itself scans blocks under
+its ``scan_below``) and the R-tree, cut into blocks of 1 to 4,096
+events, on the Fig-7 population (GoogleGroups H/L, 1,500 subscribers,
+16x16 grid).  Every block of every index is **asserted equal** to the
+brute-force oracle, so a speedup that changes results fails here.
+
+Run as a script (exit 1 on any disagreement) or under pytest::
+
+    PYTHONPATH=src python benchmarks/bench_matching_indexes.py
+    PYTHONPATH=src python -m pytest benchmarks/bench_matching_indexes.py
 """
 
 import time
 
 import numpy as np
 
-from _shared import SEED, emit, emit_json, format_table, scale_banner
-from repro.geometry import Rect, RectSet
-from repro.pubsub import BruteForceMatcher, GridMatcher, RTreeMatcher
+from _shared import emit, emit_json, format_table, scale_banner, wl1
+from repro.pubsub import (BruteForceMatcher, GridMatcher, RTreeMatcher,
+                          UniformEvents, best_matcher)
 
-NUM_SUBSCRIPTIONS = 4000
-NUM_EVENTS = 5000
-DOMAIN = Rect([0.0, 0.0], [100.0, 100.0])
+#: Events pushed through each index at every block size.
+TOTAL_EVENTS = 4096
+BLOCK_SIZES = (1, 8, 64, 512, 1024, 2048, 4096)
+HEADERS = ["block", "brute µs/event", "grid µs/event", "grid side",
+           "R-tree µs/event"]
 
 
 def compute():
-    rng = np.random.default_rng(SEED)
-    lo = rng.uniform(0.0, 95.0, size=(NUM_SUBSCRIPTIONS, 2))
-    hi = np.minimum(lo + rng.uniform(0.2, 15.0,
-                                     size=(NUM_SUBSCRIPTIONS, 2)), 100.0)
-    subscriptions = RectSet(lo, hi)
-    events = rng.uniform(-2.0, 102.0, size=(NUM_EVENTS, 2))
-
-    indexes = [
-        ("brute", BruteForceMatcher(subscriptions)),
-        ("grid", GridMatcher(subscriptions, DOMAIN, resolution=32)),
-        ("rtree", RTreeMatcher(subscriptions)),
-    ]
+    workload = wl1(("H", "L"))
+    subscriptions = workload.subscriptions
+    events = UniformEvents(workload.event_domain).sample(
+        np.random.default_rng(1), TOTAL_EVENTS)
+    oracle = BruteForceMatcher(subscriptions).match_points(events)
+    grid = best_matcher(subscriptions, workload.event_domain)
+    assert isinstance(grid, GridMatcher), type(grid).__name__
+    indexes = [("brute", BruteForceMatcher(subscriptions)), ("grid", grid),
+               ("rtree", RTreeMatcher(subscriptions))]
     rows = []
-    oracle = None
-    for name, matcher in indexes:
-        started = time.perf_counter()
-        matrix = matcher.match_points(events)
-        wall = time.perf_counter() - started
-        if oracle is None:
-            oracle = matrix
-        else:
-            assert np.array_equal(matrix, oracle), \
-                f"{name} disagrees with the brute-force oracle"
-        rows.append([name, round(wall * 1e3, 1),
-                     round(NUM_EVENTS / wall, 0),
-                     int(matrix.sum())])
-    return rows
+    for size in BLOCK_SIZES:
+        row = [size]
+        for name, matcher in indexes:
+            started = time.perf_counter()
+            blocks = [matcher.match_points(events[at:at + size])
+                      for at in range(0, TOTAL_EVENTS, size)]
+            wall = time.perf_counter() - started
+            assert np.array_equal(np.concatenate(blocks, axis=1), oracle), \
+                f"{name} disagrees with the brute-force oracle at {size}"
+            row.append(round(wall / TOTAL_EVENTS * 1e6, 2))
+            if name == "grid":
+                row.append("scan" if size < grid.scan_below else "buckets")
+        rows.append(row)
+    return len(subscriptions), grid.scan_below, rows
+
+
+def report(result):
+    subscribers, scan_below, rows = result
+    emit("\n== Matching indexes by block size: brute force vs grid vs "
+         "R-tree (shared stream, exact agreement asserted) ==")
+    emit(scale_banner(f"; {subscribers} subscriptions, {TOTAL_EVENTS} "
+                      f"events per block size; grid scans blocks under "
+                      f"{scan_below}"))
+    emit(format_table(HEADERS, rows))
+    emit_json("matching_indexes", HEADERS, rows, scan_below=scan_below)
 
 
 def test_matching_indexes(benchmark):
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    emit("\n== Matching indexes: brute force vs grid vs R-tree "
-         "(shared stream, exact agreement asserted) ==")
-    emit(scale_banner(f"; {NUM_SUBSCRIPTIONS} subscriptions, "
-                      f"{NUM_EVENTS} events"))
-    headers = ["index", "match_points ms", "events/s", "matches"]
-    emit(format_table(headers, rows))
-    emit_json("matching_indexes", headers, rows)
+    report(benchmark.pedantic(compute, rounds=1, iterations=1))
+
+
+if __name__ == "__main__":
+    report(compute())

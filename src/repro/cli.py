@@ -330,8 +330,7 @@ def _command_runtime(args: argparse.Namespace) -> int:
             link_loss=args.link_loss,
             fault_seed=args.seed,
             trace_events=args.trace_events,
-            max_duration=args.duration,
-            epoch_batch=args.epoch_batch)
+            max_duration=args.duration)
         plan = (FaultPlan(outages=tuple(args.crash),
                           failover_delay=args.failover_delay)
                 if args.crash or args.link_loss else None)
@@ -376,8 +375,7 @@ def _command_runtime(args: argparse.Namespace) -> int:
         print(f"telemetry written to {args.telemetry_json}")
     if args.result_json:
         result.dump(args.result_json,
-                    params={"algorithm": args.algorithm, "seed": args.seed,
-                            "epoch_batch": args.epoch_batch})
+                    params={"algorithm": args.algorithm, "seed": args.seed})
         print(f"result written to {args.result_json}")
     if result.aborted:
         print(f"error: run aborted at simulated time {result.duration:.6g} "
@@ -698,10 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--algorithm", default="Gr*",
                          choices=algorithm_names())
     runtime.add_argument("--events", type=int, default=2000)
-    runtime.add_argument("--epoch-batch", type=int, default=0,
-                         help="publish events per vectorized epoch "
-                              "(0 = scalar heap stepping; results are "
-                              "bit-identical)")
     runtime.add_argument("--publish-interval", type=float, default=1.0)
     runtime.add_argument("--service-time", type=float, default=0.0)
     runtime.add_argument("--queue-capacity", type=int, default=None)

@@ -7,9 +7,9 @@ delivers it to each assigned subscriber whose subscription contains it.
 epoch-mode runtime and the live broker: every filter rectangle is
 stacked into one :class:`~repro.geometry.RectSet`, so routing a batch
 is one ``contains_points`` call, a segmented ``logical_or`` back to
-per-filter masks, and a root-first pass over the tree.  Intersecting the
-reach matrix with a match matrix is left to the caller, because each
-plane accounts deliveries its own way.
+per-filter masks, and a root-first pass over the tree.
+:meth:`RoutingPlan.block` adds the match and delivery matrices, so each
+plane keeps only its own accounting of the step.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from ..geometry import RectSet
 from ..network.tree import PUBLISHER, BrokerTree
 from .filters import Filter
+from .matching import Matcher
 
 __all__ = ["RoutingPlan"]
 
@@ -100,15 +101,28 @@ class RoutingPlan:
                              f"nor a leaf broker")
         return assignment
 
-    def reach(self, entered: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-        """``(len(assignment), n)``: did each subscriber's leaf get each event?
+    def block(self, points: np.ndarray, matcher: Matcher | None,
+              assignment: np.ndarray, alive: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One dissemination step: ``(arrived, entered, match, delivered)``.
 
-        ``assignment[j]`` is subscriber ``j``'s leaf node id, or -1 for an
-        inactive subscriber, which nothing reaches (see :meth:`check`).
+        ``arrived`` and ``entered`` are :meth:`entries`.  ``match`` is
+        ``matcher.match_points(points)`` with the rows of inactive
+        subscribers cleared, and ``delivered`` is ``match`` where the
+        event also entered the subscriber's leaf, both ``(len(assignment),
+        n)``.  ``assignment`` is checked as in :meth:`check`; when no
+        subscriber is active the matcher is not called (it may be None).
         """
+        arrived, entered = self.entries(points, alive)
         assignment = self.check(assignment)
-        reach = entered[assignment]
         inactive = assignment < 0
-        if inactive.any():
-            reach[inactive] = False
-        return reach
+        if inactive.all():
+            match = np.zeros((len(assignment), len(points)), dtype=bool)
+            return arrived, entered, match, match.copy()
+        match = matcher.match_points(points)
+        match[inactive] = False
+        # An inactive row reads node -1's entries; its cleared match
+        # row delivers none of them.
+        delivered = entered[assignment]
+        delivered &= match
+        return arrived, entered, match, delivered

@@ -35,7 +35,7 @@ from .routing import RoutingPlan
 __all__ = ["SimulationResult", "sample_event_stream", "simulate_dissemination",
            "SIMULATION_SCHEMA_VERSION"]
 
-#: Schema version stamped into JSON exports (matches the runtime's), so
+#: Schema version stamped into simulation and runtime result exports, so
 #: serve/runtime/bench outputs are uniformly parseable.
 SIMULATION_SCHEMA_VERSION = 1
 
@@ -90,6 +90,14 @@ class SimulationResult:
         """Total inbound broker traffic (excludes the publisher itself)."""
         return int(self.node_entries[1:].sum())
 
+    @property
+    def total_deliveries(self) -> int:
+        return int(self.deliveries.sum())
+
+    @property
+    def total_missed(self) -> int:
+        return int(self.missed.sum())
+
     def empirical_bandwidth(self, domain_measure: float) -> float:
         """Estimate of ``Q(T)``: traffic fraction scaled to the domain measure.
 
@@ -102,10 +110,9 @@ class SimulationResult:
 
     @property
     def mean_delivery_latency(self) -> float:
-        delivered = self.deliveries.sum()
-        if delivered == 0:
+        if self.total_deliveries == 0:
             return 0.0
-        return self.total_delivery_latency / float(delivered)
+        return self.total_delivery_latency / float(self.total_deliveries)
 
     @property
     def delivery_rate(self) -> float:
@@ -115,24 +122,28 @@ class SimulationResult:
         or zero matching events all report a perfect rate rather than
         dividing by zero.
         """
-        expected = int(self.deliveries.sum()) + int(self.missed.sum())
+        expected = self.total_deliveries + self.total_missed
         if expected == 0:
             return 1.0
-        return float(self.deliveries.sum()) / expected
+        return float(self.total_deliveries) / expected
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready export sharing the bench payloads' schema fields."""
+    def _counts(self, kind: str) -> dict[str, Any]:
+        """The leading keys of every result payload, in their fixed order."""
         return {
             "schema_version": SIMULATION_SCHEMA_VERSION,
-            "kind": "simulation_result",
+            "kind": kind,
             "num_events": self.num_events,
             "node_entries": self.node_entries.tolist(),
             "deliveries": self.deliveries.tolist(),
             "missed": self.missed.tolist(),
             "total_delivery_latency": self.total_delivery_latency,
-            "total_broker_entries": self.total_broker_entries,
-            "delivery_rate": self.delivery_rate,
         }
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready export sharing the bench payloads' schema fields."""
+        return {**self._counts("simulation_result"),
+                "total_broker_entries": self.total_broker_entries,
+                "delivery_rate": self.delivery_rate}
 
     def dump(self, path: str, *,
              params: dict[str, Any] | None = None) -> None:
@@ -163,10 +174,9 @@ def simulate_dissemination(tree: BrokerTree,
                            matcher: Matcher | None = None) -> SimulationResult:
     """Publish sampled events and measure traffic, deliveries, and misses.
 
-    The hot path is fully batched: each chunk's per-node entry masks and
-    per-subscriber reach come from one
-    :class:`~repro.pubsub.routing.RoutingPlan` pass over every filter, and
-    per-subscriber matches from one ``matcher.match_points`` matrix.
+    The hot path is fully batched: each chunk is one
+    :meth:`~repro.pubsub.routing.RoutingPlan.block` step (entry masks
+    over every filter, one ``matcher.match_points`` matrix, deliveries).
     Results are bit-identical for any matcher that agrees with the
     brute-force oracle and for any ``chunk_size`` (given a chunk-stable
     event distribution): all counts are integer sums over the same
@@ -198,14 +208,12 @@ def simulate_dissemination(tree: BrokerTree,
     assignment = np.asarray(assignment, dtype=int)
     if assignment.shape != (num_subscribers,):
         raise ValueError("assignment must map every subscriber to a leaf node")
-    active = assignment >= 0
-    deliver = bool(active.any())
 
     node_entries = np.zeros(tree.num_nodes, dtype=np.int64)
     deliveries = np.zeros(num_subscribers, dtype=np.int64)
     missed = np.zeros(num_subscribers, dtype=np.int64)
     total_latency = 0.0
-    if deliver and matcher is None:
+    if matcher is None and (assignment >= 0).any():
         matcher = best_matcher(subscriptions, distribution.domain)
 
     remaining = num_events
@@ -213,17 +221,14 @@ def simulate_dissemination(tree: BrokerTree,
         batch = min(chunk_size, remaining)
         remaining -= batch
         events = distribution.sample(rng, batch)
-        _, entered = plan.entries(events)
+        _, entered, match, delivered = plan.block(events, matcher, assignment)
         node_entries += entered.sum(axis=1)
-        if deliver:
-            match = matcher.match_points(events)  # (num_subscribers, batch)
-            delivered = plan.reach(entered, assignment)
-            delivered &= match
-            counts = delivered.sum(axis=1)
-            deliveries += counts
-            # Inactive (-1) subscribers are reached by nothing and so
-            # cannot miss either.
-            missed += (match.sum(axis=1) - counts) * active
+        counts = delivered.sum(axis=1)
+        deliveries += counts
+        missed += match.sum(axis=1) - counts
+        # Free it before the next block allocates: holding both matrices
+        # across it makes malloc fault the next pair in (~10% of a pass).
+        del match
 
     # Delivery latency: every delivered event takes the fixed assigned path
     # publisher -> leaf (-> subscriber, when positions are known).

@@ -35,7 +35,6 @@ broken by insertion order.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -51,12 +50,7 @@ from ..pubsub.routing import RoutingPlan
 from ..pubsub.simulator import SimulationResult, sample_event_stream
 from .telemetry import Telemetry
 
-__all__ = ["RuntimeConfig", "RuntimeResult", "DisseminationEngine",
-           "RESULT_SCHEMA_VERSION"]
-
-#: Schema version stamped into result/telemetry JSON exports so
-#: serve/runtime/bench payloads are uniformly parseable.
-RESULT_SCHEMA_VERSION = 1
+__all__ = ["RuntimeConfig", "RuntimeResult", "DisseminationEngine"]
 
 # Control actions run before message arrivals scheduled at the same
 # timestamp (a crash at t affects the event arriving at t), and
@@ -75,7 +69,7 @@ class RuntimeConfig:
     fault_seed: int = 0             #: seed of the loss RNG (independent of events)
     trace_events: int = 0           #: record a trace span for the first N events
     max_duration: float | None = None  #: abort past this simulated time
-    epoch_batch: int = 0            #: publishes serviced per matrix step (0 = scalar)
+    epoch_batch: int = 512          #: publishes serviced per matrix step (0 = scalar)
 
     def __post_init__(self) -> None:
         if self.epoch_batch < 0:
@@ -95,56 +89,18 @@ class RuntimeConfig:
 
 
 @dataclass(frozen=True)
-class RuntimeResult:
+class RuntimeResult(SimulationResult):
     """Counts and telemetry of one engine run.
 
-    The count fields mirror :class:`~repro.pubsub.simulator.SimulationResult`
-    so the two can be compared directly (see :meth:`as_simulation_result`).
+    The counts and their metrics are the batch
+    :class:`~repro.pubsub.simulator.SimulationResult`'s, so the two
+    compare directly; the run adds its clock, queues and telemetry.
     """
 
-    num_events: int
-    node_entries: np.ndarray       #: events that entered each tree node
-    deliveries: np.ndarray         #: deliveries per subscriber
-    missed: np.ndarray             #: matched-but-undelivered events per subscriber
-    total_delivery_latency: float
     duration: float                #: simulated time of the last processed action
     queue_peaks: np.ndarray        #: max ingress queue depth seen per node
     telemetry: Telemetry
     aborted: bool = False          #: run hit the config's ``max_duration``
-
-    @property
-    def total_broker_entries(self) -> int:
-        """Total inbound broker traffic (excludes the publisher itself)."""
-        return int(self.node_entries[1:].sum())
-
-    @property
-    def total_deliveries(self) -> int:
-        return int(self.deliveries.sum())
-
-    @property
-    def total_missed(self) -> int:
-        return int(self.missed.sum())
-
-    @property
-    def mean_delivery_latency(self) -> float:
-        delivered = self.deliveries.sum()
-        if delivered == 0:
-            return 0.0
-        return self.total_delivery_latency / float(delivered)
-
-    def empirical_bandwidth(self, domain_measure: float) -> float:
-        """Traffic fraction scaled to the domain measure (see the batch sim)."""
-        if self.num_events == 0:
-            return 0.0
-        return self.total_broker_entries / self.num_events * domain_measure
-
-    @property
-    def delivery_rate(self) -> float:
-        """Fraction of matched events actually delivered (1.0 when none matched)."""
-        expected = int(self.deliveries.sum()) + int(self.missed.sum())
-        if expected == 0:
-            return 1.0
-        return float(self.deliveries.sum()) / expected
 
     def events_per_time(self) -> float:
         """Published events per unit of simulated time."""
@@ -152,51 +108,14 @@ class RuntimeResult:
             return 0.0
         return self.num_events / self.duration
 
-    def as_simulation_result(self) -> SimulationResult:
-        """View as a batch :class:`SimulationResult` for metric reuse."""
-        return SimulationResult(
-            num_events=self.num_events,
-            node_entries=self.node_entries,
-            deliveries=self.deliveries,
-            missed=self.missed,
-            total_delivery_latency=self.total_delivery_latency)
-
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready export sharing the bench payloads' schema fields.
-
-        Deterministic (no provenance); :meth:`dump` adds the git/host
-        metadata block so runtime outputs parse like ``BENCH_*.json``.
-        """
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "kind": "runtime_result",
-            "num_events": self.num_events,
-            "node_entries": self.node_entries.tolist(),
-            "deliveries": self.deliveries.tolist(),
-            "missed": self.missed.tolist(),
-            "total_delivery_latency": self.total_delivery_latency,
-            "duration": self.duration,
-            "queue_peaks": self.queue_peaks.tolist(),
-            "aborted": self.aborted,
-            "delivery_rate": self.delivery_rate,
-            "telemetry": self.telemetry.to_dict(),
-        }
-
-    def dump(self, path: str, *,
-             params: dict[str, Any] | None = None) -> None:
-        """Write :meth:`to_dict` plus the provenance metadata block.
-
-        ``params`` (e.g. the CLI's ``--epoch-batch``) is stamped into the
-        payload so the provenance records how the run was produced.
-        """
-        from ..bench.harness import run_metadata
-        payload = self.to_dict()
-        if params:
-            payload["params"] = dict(params)
-        payload["metadata"] = run_metadata()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        """Deterministic export; :meth:`dump` adds the provenance block."""
+        return {**self._counts("runtime_result"),
+                "duration": self.duration,
+                "queue_peaks": self.queue_peaks.tolist(),
+                "aborted": self.aborted,
+                "delivery_rate": self.delivery_rate,
+                "telemetry": self.telemetry.to_dict()}
 
 
 class _BrokerState:
@@ -561,8 +480,8 @@ class DisseminationEngine:
         complete strictly *before* the next pending control time (and
         within ``max_duration``), so crash/recover/churn barriers see
         exactly the scalar engine's state.  Routing is one
-        :class:`~repro.pubsub.routing.RoutingPlan` pass under the current
-        alive mask; counts are the same boolean matrices summed; the
+        :meth:`~repro.pubsub.routing.RoutingPlan.block` step under the
+        current alive mask; counts are the same boolean matrices summed; the
         block's latencies join the scalar path's in the run-end sorted
         fold.
         """
@@ -594,13 +513,10 @@ class DisseminationEngine:
         self.telemetry.counter("events_published").inc(n)
 
         assignment = self._assignment
-        match = self._epoch_matcher.match_points(pts)  # (subscribers, n)
-        active = assignment >= 0
-        if active.any():
-            self._matched += (match & active[:, None]).sum(axis=1)
-
         # Arrivals at a crashed node are lost, not forwarded.
-        arrived, entered = self._plan.entries(pts, self.alive_mask)
+        arrived, entered, match, delivered = self._plan.block(
+            pts, self._epoch_matcher, assignment, self.alive_mask)
+        self._matched += match.sum(axis=1)
         counts = entered.sum(axis=1)
         self._node_entries += counts
         entries = int(counts[1:].sum())
@@ -610,8 +526,6 @@ class DisseminationEngine:
         if lost:
             self.telemetry.counter("events_lost_crashed").inc(lost)
 
-        delivered = self._plan.reach(entered, assignment)
-        delivered &= match
         counts = delivered.sum(axis=1)
         self._deliveries += counts
         if counts.any():

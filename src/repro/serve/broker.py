@@ -33,7 +33,7 @@ from ..core.problem import SAProblem
 from ..dynamic.manager import DynamicPubSub
 from ..network.tree import BrokerTree
 from ..pubsub.filters import Filter
-from ..pubsub.matching import best_matcher
+from ..pubsub.matching import Matcher, best_matcher
 from ..pubsub.routing import RoutingPlan
 from . import protocol
 
@@ -145,16 +145,14 @@ class RoutingTable:
         self.assignment = assignment
         self._plan = RoutingPlan(tree, filters)
 
-    def route(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Route a batch of points: ``(entered, reach)``.
+    def route(self, points: np.ndarray, matcher: Matcher
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Route a batch of points: ``(arrived, entered, match, delivered)``.
 
-        ``entered`` is the ``(num_nodes, n)`` matrix of events entering
-        each node (the publisher's row is all true); ``reach`` is the
-        ``(num_subscribers, n)`` matrix of events reaching each
-        subscriber's leaf (nothing reaches an inactive subscriber).
+        The :meth:`~repro.pubsub.routing.RoutingPlan.block` step under
+        this table's assignment; nothing reaches an inactive subscriber.
         """
-        _, entered = self._plan.entries(points)
-        return entered, self._plan.reach(entered, self.assignment)
+        return self._plan.block(points, matcher, self.assignment)
 
 
 def _coordinates(values: Any) -> np.ndarray:
@@ -301,23 +299,18 @@ class LiveBroker:
     def _publish(self, pts: np.ndarray, sent_at: float | None,
                  event_ids: list[Any]) -> dict[str, int]:
         """Account and enqueue validated ``(n, event_dim)`` points."""
-        table = self._routing
-        entered, reach = table.route(pts)
+        _, entered, match, deliver = self._routing.route(pts, self._matcher)
         self.node_entries += entered.sum(axis=1)
         self.published += pts.shape[0]
-
-        match = self._matcher.match_points(pts)  # (m, n)
-        match &= (table.assignment >= 0)[:, None]
         matched = int(match.sum())
-        reach &= match
         delivered = 0
         dropped = 0
-        missed = matched - int(reach.sum())
+        missed = matched - int(deliver.sum())
         events = [Publication(pt, sent_at, event_id)
                   for pt, event_id in zip(pts, event_ids)]
         queues = self._queues
         # Event-major, subscriber-ascending: each queue sees event order.
-        for i, j in zip(*(a.tolist() for a in np.nonzero(reach.T))):
+        for i, j in zip(*(a.tolist() for a in np.nonzero(deliver.T))):
             queue = queues.get(j)
             if queue is None:  # unsubscribed after the snapshot
                 missed += 1

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any
 
 __all__ = [
@@ -87,9 +88,18 @@ def _reject_constant(name: str) -> Any:
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"number {literal[:32]} overflows to {value}")
+    return value
+
+
 #: Strict JSON: ``NaN``/``Infinity``/``-Infinity`` are not JSON, and a
-#: frame carrying one would be echoed to subscribers verbatim.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+#: frame carrying one would be echoed to subscribers verbatim.  A number
+#: literal such as ``1e999`` that overflows a float would become one.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+                            parse_float=_finite_float)
 
 
 def decode_frame(line: bytes) -> dict[str, Any]:
@@ -97,7 +107,8 @@ def decode_frame(line: bytes) -> dict[str, Any]:
 
     Raises :class:`ProtocolError` (``bad-json``) when the line is not
     valid JSON (including the non-standard ``NaN`` and ``Infinity``
-    constants) or not a JSON object.
+    constants and number literals that overflow a float) or not a JSON
+    object.
     """
     try:
         payload = _DECODER.decode(line.decode("utf-8", errors="strict"))

@@ -77,16 +77,26 @@ def matcher_oracle(subscriptions: RectSet, domain: Rect,
     matrix must equal the brute-force oracle's, and its scalar
     ``match_point`` must reproduce the corresponding matrix column on
     the first ``scalar_samples`` events (batch/scalar self-consistency).
+    The grid is also run on the stream cycled to a block on each side of
+    its ``scan_below`` crossover, so both its scan and its bucket probe
+    meet the oracle.
     """
     events = np.asarray(events, dtype=float)
     expected = BruteForceMatcher(subscriptions).match_points(events)
     mismatches = []
+    grid = GridMatcher(subscriptions, domain, resolution=grid_resolution)
     matchers: list[tuple[str, Matcher]] = [
         ("brute", BruteForceMatcher(subscriptions)),
-        ("grid", GridMatcher(subscriptions, domain,
-                             resolution=grid_resolution)),
+        ("grid", grid),
         ("rtree", RTreeMatcher(subscriptions)),
     ]
+    n = events.shape[0]
+    sides = (max(grid.scan_below - 1, 1), max(grid.scan_below, n))
+    for size in sides if n else ():
+        cycled = np.arange(size) % n
+        if not np.array_equal(grid.match_points(events[cycled]),
+                              expected[:, cycled]):
+            mismatches.append(f"grid: {size}-event block disagrees")
     for name, matcher in matchers:
         got = matcher.match_points(events)
         wrong = int(np.sum(got != expected))
@@ -142,7 +152,9 @@ def runtime_oracle(problem: SAProblem, solution: SASolution,
 
     Both consume the event stream through the same chunked sampler, so
     per-node entries, per-subscriber deliveries, and misses must be
-    *identical*, not merely close.
+    *identical*, not merely close.  The engine steps scalar
+    (``epoch_batch=0``), so the heap path is held to the simulator too;
+    :func:`epoch_runtime_oracle` holds the epoch path to the heap path.
     """
     batch = simulate_dissemination(
         problem.tree, solution.filters, solution.assignment,
@@ -150,7 +162,7 @@ def runtime_oracle(problem: SAProblem, solution: SASolution,
         num_events=num_events, subscriber_points=problem.subscriber_points)
     engine = DisseminationEngine(
         problem.tree, solution.filters, solution.assignment,
-        problem.subscriptions, config=RuntimeConfig(),
+        problem.subscriptions, config=RuntimeConfig(epoch_batch=0),
         subscriber_points=problem.subscriber_points)
     live = engine.run(distribution, np.random.default_rng(seed), num_events)
 

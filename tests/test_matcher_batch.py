@@ -45,6 +45,13 @@ def awkward_events(rng, subs, m):
     return np.concatenate(events, axis=0)
 
 
+def crossover_blocks(grid, n):
+    """Column indices cycling ``n`` events to one block on each side of
+    the grid's scan/bucket crossover."""
+    return [np.arange(size) % n
+            for size in (max(grid.scan_below - 1, 1), max(grid.scan_below, n))]
+
+
 def all_matchers(subs):
     return [
         ("brute", BruteForceMatcher(subs)),
@@ -66,6 +73,10 @@ class TestThreeWayDifferential:
             got = matcher.match_points(events)
             assert got.shape == (n, events.shape[0]), name
             assert np.array_equal(got, expected), name
+        grid = GridMatcher(subs, DOMAIN, resolution=8)
+        for cols in crossover_blocks(grid, events.shape[0]):
+            assert np.array_equal(grid.match_points(events[cols]),
+                                  expected[:, cols]), len(cols)
 
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 40),
            m=st.integers(1, 24))
@@ -175,8 +186,40 @@ class TestBestMatcher:
                 matcher.match_points(events),
                 BruteForceMatcher(subs).match_points(events))
 
-    def test_rejects_bad_resolution(self):
-        rng = np.random.default_rng(7)
-        subs = random_subs(rng, 100)
-        with pytest.raises(ValueError):
-            best_matcher(subs, DOMAIN, resolution=0)
+
+class TestGridCrossover:
+    """The grid scans small blocks and probes its buckets for large ones."""
+
+    @pytest.fixture(scope="class")
+    def fig7(self):
+        from repro import GoogleGroupsConfig, generate_google_groups
+        workload = generate_google_groups(7, GoogleGroupsConfig(
+            num_subscribers=1500, num_brokers=16, interest_skew="H",
+            broad_interests="L"))
+        return workload.subscriptions, workload.event_domain
+
+    def test_fig7_block_sides(self, fig7):
+        subs, domain = fig7
+        grid = best_matcher(subs, domain)
+        assert isinstance(grid, GridMatcher)
+        # Single serve publishes and 512-event runtime epochs scan;
+        # 2,048-event simulator chunks probe the buckets.
+        assert 1 < 512 < grid.scan_below <= 2048
+        events = np.random.default_rng(0).uniform(
+            domain.lo, domain.hi, size=(2048, 2))
+        brute = BruteForceMatcher(subs)
+        for n in (1, 512, 2048):
+            assert np.array_equal(grid.match_points(events[:n]),
+                                  brute.match_points(events[:n])), n
+
+    def test_rule_follows_population_and_cells(self):
+        rng = np.random.default_rng(8)
+        small = GridMatcher(random_subs(rng, 100), DOMAIN, resolution=4)
+        large = GridMatcher(random_subs(rng, 400), DOMAIN, resolution=4)
+        finer = GridMatcher(random_subs(rng, 400), DOMAIN, resolution=8)
+        assert small.scan_below == 4 * large.scan_below
+        assert finer.scan_below == 4 * large.scan_below
+        assert GridMatcher(RectSet.empty(2), DOMAIN).scan_below == 0
+        lo = rng.uniform(0, 99, size=(5000, 2))
+        huge = GridMatcher(RectSet(lo, lo + 1), DOMAIN)
+        assert huge.scan_below == 0   # buckets beat a scan at every size

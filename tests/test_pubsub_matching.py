@@ -17,6 +17,12 @@ def random_subs(rng, n):
     return RectSet(lo, hi)
 
 
+def bucket_block(grid, points):
+    """``points`` cycled to a block large enough for the grid's buckets."""
+    return points[np.arange(max(grid.scan_below, len(points)))
+                  % len(points)]
+
+
 class TestBruteForce:
     def test_match_point(self):
         subs = RectSet(np.array([[0.0, 0.0], [5.0, 5.0]]),
@@ -40,8 +46,18 @@ class TestGridMatcher:
         grid = GridMatcher(subs, DOMAIN, resolution=8)
         brute = BruteForceMatcher(subs)
         points = rng.uniform(0, 100, size=(200, 2))
+        assert len(points) < grid.scan_below   # answered by the scan
         assert np.array_equal(grid.match_points(points),
                               brute.match_points(points))
+
+    def test_agrees_with_brute_force_on_bucket_block(self):
+        rng = np.random.default_rng(0)
+        subs = random_subs(rng, 50)
+        grid = GridMatcher(subs, DOMAIN, resolution=8)
+        points = bucket_block(grid, rng.uniform(0, 100, size=(200, 2)))
+        assert len(points) >= grid.scan_below
+        assert np.array_equal(grid.match_points(points),
+                              BruteForceMatcher(subs).match_points(points))
 
     def test_point_outside_domain_clamped(self):
         subs = RectSet(np.array([[95.0, 95.0]]), np.array([[100.0, 100.0]]))
@@ -56,7 +72,7 @@ class TestGridMatcher:
         subs = random_subs(rng, 20)
         grid = GridMatcher(subs, DOMAIN, resolution=1)
         brute = BruteForceMatcher(subs)
-        points = rng.uniform(0, 100, size=(50, 2))
+        points = bucket_block(grid, rng.uniform(0, 100, size=(50, 2)))
         assert np.array_equal(grid.match_points(points),
                               brute.match_points(points))
 
@@ -122,7 +138,7 @@ class TestGridMatcherVectorizedEdges:
         grid = GridMatcher(subs, DOMAIN, resolution=4)
         brute = BruteForceMatcher(subs)
         # Every event lands in the same grid cell: a single bucket batch.
-        points = rng.uniform(1.0, 20.0, size=(40, 2))
+        points = bucket_block(grid, rng.uniform(1.0, 20.0, size=(40, 2)))
         assert np.array_equal(grid.match_points(points),
                               brute.match_points(points))
 
@@ -130,7 +146,7 @@ class TestGridMatcherVectorizedEdges:
         rng = np.random.default_rng(4)
         subs = random_subs(rng, 25)
         grid = GridMatcher(subs, DOMAIN, resolution=8)
-        points = rng.uniform(0, 100, size=(60, 2))
+        points = bucket_block(grid, rng.uniform(0, 100, size=(60, 2)))
         shuffled = points[::-1]
         assert np.array_equal(grid.match_points(shuffled),
                               grid.match_points(points)[:, ::-1])

@@ -1,8 +1,9 @@
 """The one dissemination kernel: :class:`repro.pubsub.RoutingPlan`.
 
-The plan's batched entry and reach matrices must equal a naive walk
-that routes one point at a time down the tree, node by node, and every
-plane routing through it must refuse assignments to non-leaf brokers.
+The plan's batched block step (entry, match and delivery matrices) must
+equal a naive walk that routes one point at a time down the tree, node
+by node, and every plane routing through it must refuse assignments to
+non-leaf brokers.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ from repro import DisseminationEngine, RuntimeConfig, UniformEvents
 from repro.geometry import Rect, RectSet
 from repro.network import BrokerTree
 from repro.network.tree import PUBLISHER
-from repro.pubsub import Filter, RoutingPlan, simulate_dissemination
+from repro.pubsub import (BruteForceMatcher, Filter, RoutingPlan,
+                          simulate_dissemination)
 
 # Interior brokers 1, 2 and 4; leaves 3, 5, 6, 7 and 8.
 PARENTS = [-1, 0, 0, 1, 1, 2, 2, 4, 4]
@@ -49,16 +51,18 @@ class TestRoutingPlan:
         tree, filters = network
         plan = RoutingPlan(tree, filters)
         assignment = np.array([3, 5, 7, 8, -1, 6, 3, -1])
+        lo = rng.uniform(0.0, 0.5, size=(len(assignment), 2))
+        subs = RectSet(lo, lo + 0.5)
         for n in (0, 1, 200):
             for crash in (False, True):
                 points = rng.uniform(0.0, 1.0, size=(n, 2))
                 alive = np.ones(tree.num_nodes, dtype=bool)
                 alive[CRASHED_INTERIOR] = not crash
-                arrived, entered = plan.entries(points,
-                                                alive if crash else None)
-                reach = plan.reach(entered, assignment)
-                self.check(tree, filters, points, alive, assignment,
-                           arrived, entered, reach)
+                block = plan.block(points, BruteForceMatcher(subs),
+                                   assignment, alive if crash else None)
+                self.check(tree, filters, subs, points, alive, assignment,
+                           *block)
+                arrived, entered, _, _ = block
                 if crash and n > 1:
                     # It received events, yet forwarded none of them.
                     assert arrived[CRASHED_INTERIOR].any()
@@ -66,11 +70,11 @@ class TestRoutingPlan:
                     assert not arrived[[7, 8]].any()
 
     @staticmethod
-    def check(tree, filters, points, alive, assignment, arrived, entered,
-              reach):
+    def check(tree, filters, subs, points, alive, assignment, arrived,
+              entered, match, delivered):
         n = len(points)
         assert arrived.shape == entered.shape == (tree.num_nodes, n)
-        assert reach.shape == (len(assignment), n)
+        assert match.shape == delivered.shape == (len(assignment), n)
         for i, point in enumerate(points):
             want_arrived, want_entered = naive_walk(tree, filters, point,
                                                     alive)
@@ -78,20 +82,33 @@ class TestRoutingPlan:
                 assert arrived[node, i] == want_arrived[node]
                 assert entered[node, i] == want_entered[node]
             for j, leaf in enumerate(assignment):
-                assert reach[j, i] == (leaf >= 0 and want_entered[int(leaf)])
+                want_match = leaf >= 0 and subs.take([j]).contains_points(
+                    point[None, :])[0, 0]
+                assert match[j, i] == want_match
+                assert delivered[j, i] == (want_match
+                                           and want_entered[int(leaf)])
         # An empty interior filter blocks its whole subtree.
         assert not arrived[[EMPTY_INTERIOR, 5, 6]].any()
-        # Nothing reaches an inactive subscriber.
-        assert not reach[assignment < 0].any()
+        # Nothing matches or reaches an inactive subscriber.
+        assert not match[assignment < 0].any()
+
+    def test_no_active_subscriber_skips_the_matcher(self, network):
+        tree, filters = network
+        _, entered, match, delivered = RoutingPlan(tree, filters).block(
+            np.full((4, 2), 0.5), None, np.array([-1, -1]))
+        assert entered[PUBLISHER].all()
+        assert match.shape == delivered.shape == (2, 4)
+        assert not match.any() and not delivered.any()
 
     @pytest.mark.parametrize("bad", [0, 1, CRASHED_INTERIOR, -2,
                                      len(PARENTS)])
     def test_reach_rejects_non_leaf_assignment(self, network, bad):
         tree, filters = network
         plan = RoutingPlan(tree, filters)
-        _, entered = plan.entries(np.full((4, 2), 0.5))
+        subs = RectSet(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(ValueError, match="neither -1 nor a leaf"):
-            plan.reach(entered, np.array([3, bad, -1]))
+            plan.block(np.full((4, 2), 0.5), BruteForceMatcher(subs),
+                       np.array([3, bad, -1]))
 
 
 class TestInteriorAssignmentRejected:

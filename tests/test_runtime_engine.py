@@ -17,7 +17,7 @@ from repro import (
     simulate_dissemination,
 )
 from repro.geometry import Rect
-from repro.pubsub import sample_event_stream
+from repro.pubsub import SimulationResult, sample_event_stream
 
 
 DIST = UniformEvents(Rect([0, 0], [100, 100]))
@@ -62,14 +62,28 @@ class TestFaultFreeEquivalence:
         assert np.array_equal(chunked[:512],
                               DIST.sample(np.random.default_rng(3), 512))
 
-    def test_as_simulation_result_view(self, tiny_problem):
+    @pytest.mark.parametrize("epoch_batch", [0, 512])
+    def test_result_agrees_with_simulation(self, tiny_problem, epoch_batch):
+        """A runtime result is a simulation result of the same stream."""
         solution = offline_greedy(tiny_problem)
-        result = make_engine(tiny_problem, solution).run(
+        batch = simulate_dissemination(
+            tiny_problem.tree, solution.filters, solution.assignment,
+            tiny_problem.subscriptions, DIST, np.random.default_rng(0),
+            num_events=200, subscriber_points=tiny_problem.subscriber_points)
+        result = make_engine(tiny_problem, solution,
+                             epoch_batch=epoch_batch).run(
             DIST, np.random.default_rng(0), num_events=200)
-        view = result.as_simulation_result()
-        assert view.num_events == 200
-        assert np.array_equal(view.deliveries, result.deliveries)
-        assert view.delivery_rate == result.delivery_rate
+        assert isinstance(result, SimulationResult)
+        for name in ("num_events", "total_broker_entries",
+                     "total_deliveries", "total_missed", "delivery_rate"):
+            assert getattr(result, name) == getattr(batch, name), name
+        for name in ("node_entries", "deliveries", "missed"):
+            assert np.array_equal(getattr(result, name),
+                                  getattr(batch, name)), name
+        for name in ("total_delivery_latency", "mean_delivery_latency"):
+            assert getattr(result, name) == pytest.approx(
+                getattr(batch, name)), name
+        assert result.empirical_bandwidth(1e4) == batch.empirical_bandwidth(1e4)
 
 
 class TestDeterminism:

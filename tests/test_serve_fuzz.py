@@ -4,18 +4,23 @@ Generated requests — wrong-typed fields, unknown ops, missing fields,
 non-string idempotency keys, ragged ``publish_batch`` columns and
 non-finite numbers — go straight into ``ServeDaemon._dispatch``.  Every
 reply must be a success or a typed error, every error must be counted,
-and a rejected request must leave the broker's state untouched.
+and a rejected request must leave the broker's state untouched.  The
+same requests written as wire lines, number literals that overflow a
+float included, go through the connection loop, and every line it
+writes back must be strict JSON.
 """
 
 import asyncio
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import ServeConfig, ServeDaemon
 from repro.serve.gateway import _Connection
-from repro.serve.protocol import ALL_OPS, ERR_BAD_JSON, ERR_INVALID, ERR_UNKNOWN_OP
+from repro.serve.protocol import (ALL_OPS, ERR_BAD_JSON, ERR_INVALID,
+                                  ERR_UNKNOWN_OP, decode_frame)
 from repro.workloads import GridConfig, generate_grid, one_level_problem
 
 NUM_SUBSCRIBERS = 12
@@ -39,9 +44,33 @@ class _SinkWriter:
         pass
 
 
+class _RecordingWriter:
+    """A stream writer that keeps what is written to it."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        await asyncio.sleep(0)  # lets the delivery pump run
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+#: Number literals that overflow a float.  On the wire each one replaces
+#: its marker string (see ``wire_line``).
+OVERFLOWS = ("1e999", "-1e400", "2E+308")
+
 #: Values JSON can carry that are not a usable number.
 junk = st.sampled_from([None, True, False, 10**400, float("nan"),
-                        float("inf"), -float("inf"), "1", {}, []])
+                        float("inf"), -float("inf"), "1", {}, [],
+                        *(f"<{literal}>" for literal in OVERFLOWS)])
 
 scalars = st.one_of(st.integers(-3, 10**6),
                     st.floats(allow_nan=True, allow_infinity=True),
@@ -66,6 +95,15 @@ common = {
     "sentAt": st.one_of(st.floats(0.0, 1e9), scalars),
     "eventId": scalars,
 }
+
+
+def wire_line(frame):
+    """``frame`` as a client writes it, with the overflow markers as raw
+    number literals."""
+    line = json.dumps(frame)
+    for literal in OVERFLOWS:
+        line = line.replace(f'"<{literal}>"', literal)
+    return line.encode() + b"\n"
 
 
 def frame(op, required):
@@ -112,5 +150,38 @@ class TestDispatchFuzz:
                 conn.pump.cancel()
                 await asyncio.gather(conn.pump, return_exceptions=True)
             assert daemon.requests == len(frames)
+
+        asyncio.run(body())
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames=st.lists(requests, min_size=1, max_size=8))
+    # Subscriber 0's box contains this point, so the event is delivered
+    # back with its overflowing id.
+    @example(frames=[{"op": "publish", "point": [75.0, 75.0],
+                      "eventId": "<1e999>"}])
+    def test_wire_lines_get_strict_json_back(self, problem, frames):
+        async def body():
+            daemon = ServeDaemon(problem, ServeConfig(reopt_threshold=10**9))
+            # The whole population subscribes first, so publishes that
+            # pass validation are delivered back on this connection.
+            lines = [wire_line({"op": "subscribe", "subscriber": j})
+                     for j in range(NUM_SUBSCRIBERS)]
+            lines += [wire_line(f) for f in frames]
+            # A closing ping gives the delivery pump its turn to write
+            # before the connection ends.
+            lines.append(wire_line({"op": "ping"}))
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"".join(lines))
+            reader.feed_eof()
+            writer = _RecordingWriter()
+            await daemon._handle_connection(reader, writer)
+            # decode_frame is strict: no NaN or Infinity may come back.
+            written = [decode_frame(line)
+                       for line in bytes(writer.data).splitlines()]
+            replies = [m for m in written if m["type"] == "reply"]
+            assert len(replies) == len(lines)
+            errors = [r["error"] for r in replies if not r["ok"]]
+            assert set(errors) <= ERROR_CODES
+            assert daemon.request_errors == len(errors)
 
         asyncio.run(body())

@@ -64,7 +64,10 @@ class TestProtocol:
         b'{"op":"publish","point":[0.5,0.5],"eventId":Infinity}\n',
         b'{"op":"publish","point":[-Infinity,0.5]}\n',
         b'{"op":"ping","id":' + b"9" * 5000 + b'}\n',
-    ], ids=["nan", "infinity", "minus-infinity", "over-long-int"])
+        b'{"op":"publish","point":[1,2],"eventId":1e999}\n',
+        b'{"op":"publish","point":[-1e400,2]}\n',
+    ], ids=["nan", "infinity", "minus-infinity", "over-long-int",
+            "overflow", "minus-overflow"])
     def test_non_standard_json_rejected(self, line):
         with pytest.raises(ProtocolError) as excinfo:
             decode_frame(line)
@@ -131,6 +134,30 @@ class TestValidation:
             writer.write(b'{"op":"publish","point":[0.5,0.5],'
                          b'"sentAt":NaN,"eventId":Infinity}\n')
             await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == ERR_BAD_JSON
+            # The connection keeps serving, and nothing was published.
+            writer.write(encode_frame({"op": "stats", "id": 2}))
+            await writer.drain()
+            stats = json.loads(await reader.readline())["stats"]
+            assert stats["request_errors"] == 1
+            assert stats["published"] == 0
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_daemon(problem, body))
+
+    def test_overflowing_number_gets_bad_json_and_publishes_nothing(
+            self, problem):
+        async def body(daemon):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            writer.write(encode_frame({"op": "subscribe", "id": 1,
+                                       "subscriber": 0}))
+            writer.write(b'{"op":"publish","point":[1,2],"eventId":1e999}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"] is True
             reply = json.loads(await reader.readline())
             assert reply["ok"] is False
             assert reply["error"] == ERR_BAD_JSON
