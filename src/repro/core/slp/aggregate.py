@@ -48,15 +48,14 @@ import numpy as np
 from ...geometry import RectSet
 from ...geometry.clustering import kmeans
 from ...perf.profiler import span
-from .assign_flow import (
-    AssignmentOutcome,
-    _augment,
-    _CovererCSR,
-    assign_subscriptions,
-    assign_subscriptions_weighted,
-)
+from .assign_flow import AssignmentOutcome, _augment, _CovererCSR
 from .filtergen import _joint_features
-from .sampling import FilterAssignConfig, FilterAssignResult, filter_assign
+from .sampling import (
+    FilterAssignConfig,
+    FilterAssignResult,
+    assignment_outcome,
+    filter_assign,
+)
 from .view import SLPView
 
 __all__ = ["AggregationConfig", "Aggregation", "AggregatedDistribution",
@@ -364,8 +363,7 @@ def distribute_aggregated(view: SLPView, rng: np.random.Generator,
 
     if agg.is_identity:
         preliminary = filter_assign(view, rng, config)
-        with span("assign"):
-            outcome = assign_subscriptions(view, preliminary.filters)
+        outcome = assignment_outcome(view, preliminary)
         return AggregatedDistribution(
             target_of=outcome.target_of,
             fractional_objective=preliminary.fractional_objective,
@@ -386,8 +384,7 @@ def distribute_aggregated(view: SLPView, rng: np.random.Generator,
         weights=agg.weights.astype(np.float64),
     )
     preliminary = filter_assign(agg_view, rng, config)
-    with span("assign"):
-        outcome = assign_subscriptions_weighted(agg_view, preliminary.filters)
+    outcome = assignment_outcome(agg_view, preliminary)
 
     info: dict[str, Any] = {
         "groups": agg.num_groups,

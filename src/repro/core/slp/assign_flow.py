@@ -141,6 +141,18 @@ def _capacities(view: SLPView, betabar: float) -> np.ndarray:
                     * view.num_subscribers).astype(int)
 
 
+def _coverer_lists(mask: np.ndarray) -> list[np.ndarray]:
+    """``np.flatnonzero(mask[:, j])`` for every column ``j``, from one scan.
+
+    One ``np.nonzero`` over the transpose yields every column's row
+    indices in ascending order, grouped by column; the lists are slices
+    of it.
+    """
+    columns, rows = np.nonzero(mask.T)
+    ends = np.cumsum(np.bincount(columns, minlength=mask.shape[1])).tolist()
+    return [rows[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
 def _grouped_ranges(counts: np.ndarray) -> np.ndarray:
     """``[0..c_0), [0..c_1), ...`` concatenated, for grouped gathers."""
     total = int(counts.sum())
@@ -304,7 +316,7 @@ def assign_subscriptions(view: SLPView, filters: list[RectSet],
             if np.isfinite(cost).any() else 1.0
         covered[feasible_targets, j] = True
 
-    coverers = [np.flatnonzero(covered[:, j]) for j in range(m)]
+    coverers = _coverer_lists(covered)
 
     betabar = view.beta
     caps = _capacities(view, betabar)
@@ -481,7 +493,7 @@ def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
             if np.isfinite(cost).any() else 1.0
         covered[feasible_targets, j] = True
 
-    coverers = [np.flatnonzero(covered[:, j]) for j in range(m)]
+    coverers = _coverer_lists(covered)
 
     def caps_at(b: float) -> np.ndarray:
         return np.floor(b * view.kappas_effective * total).astype(np.int64)

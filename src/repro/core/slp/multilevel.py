@@ -31,8 +31,8 @@ import numpy as np
 from ...perf.profiler import span
 from ..problem import SAProblem, SASolution, filters_from_assignment
 from .aggregate import AggregationConfig, distribute_aggregated
-from .assign_flow import _augment, _CovererCSR, assign_subscriptions
-from .sampling import FilterAssignConfig, filter_assign
+from .assign_flow import _augment, _coverer_lists, _CovererCSR
+from .sampling import FilterAssignConfig, assignment_outcome, filter_assign
 from .view import SLPView
 
 __all__ = ["slp"]
@@ -78,8 +78,7 @@ def _distribute(view: SLPView, rng: np.random.Generator,
                 + dist.info["groups"]
     else:
         preliminary = filter_assign(view, rng, config)
-        with span("assign"):
-            outcome = assign_subscriptions(view, preliminary.filters)
+        outcome = assignment_outcome(view, preliminary)
         target_of = outcome.target_of
     info["lp_calls"] += preliminary.info.get("lp_calls", 0)
     info["slp1_invocations"] += 1
@@ -109,8 +108,9 @@ def _global_rebalance(problem: SAProblem, assignment: np.ndarray,
     kappas = problem.kappas
     num_leaves = problem.num_leaf_brokers
 
-    leaf_row_of = np.array([tree.leaf_row(int(a)) for a in assignment])
-    coverers = [problem.candidate_leaf_rows(j) for j in range(m)]
+    row_of_node = np.full(tree.num_nodes, -1)
+    row_of_node[tree.leaves] = np.arange(num_leaves)
+    leaf_row_of = row_of_node[assignment]
 
     betabar = problem.params.beta
     beta_max = problem.params.beta_max
@@ -138,6 +138,7 @@ def _global_rebalance(problem: SAProblem, assignment: np.ndarray,
             assigned[j] = -1
             stranded.append(j)
 
+    coverers = _coverer_lists(problem.feasible_leaf)
     remaining = stranded
     csr = _CovererCSR(coverers)
     while remaining:

@@ -31,13 +31,17 @@ import numpy as np
 
 from ...geometry import RectSet
 from ...perf.profiler import span
-from .assign_flow import assign_subscriptions, assign_subscriptions_weighted
+from .assign_flow import (
+    AssignmentOutcome,
+    assign_subscriptions,
+    assign_subscriptions_weighted,
+)
 from .filtergen import FilterGenConfig, generate_candidate_filters
 from .lp_relax import lp_relax
 from .view import SLPView
 
-__all__ = ["FilterAssignConfig", "FilterAssignResult", "filter_assign",
-           "prune_redundant_rects"]
+__all__ = ["FilterAssignConfig", "FilterAssignResult", "assignment_outcome",
+           "filter_assign", "prune_redundant_rects"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,10 @@ class FilterAssignResult:
     filters: list[RectSet]             #: epsilon-expanded preliminary filters
     fractional_objective: float | None  #: LP lower bound (None on fallback)
     info: dict[str, Any]
+    #: the load-balanced assignment of the view over ``filters`` that the
+    #: acceptance check computed; ``None`` when no check ran (fallback,
+    #: or ``require_load_feasible=False``)
+    outcome: AssignmentOutcome | None = None
 
     @property
     def used_fallback(self) -> bool:
@@ -128,6 +136,27 @@ def _fallback(view: SLPView, started: float, info: dict[str, Any]) -> FilterAssi
     info.update(fallback=True, runtime_seconds=time.perf_counter() - started)
     return FilterAssignResult(filters=[one for _ in range(view.num_targets)],
                               fractional_objective=None, info=info)
+
+
+def _assign(view: SLPView, filters: list[RectSet]) -> AssignmentOutcome:
+    """The load-balanced assignment of the view over ``filters``."""
+    if view.weights is None:
+        return assign_subscriptions(view, filters)
+    return assign_subscriptions_weighted(view, filters)
+
+
+def assignment_outcome(view: SLPView,
+                       result: FilterAssignResult) -> AssignmentOutcome:
+    """``result``'s assignment: the acceptance check's, else a fresh one.
+
+    The assignment is a deterministic function of ``(view, filters)``,
+    so reusing the acceptance check's outcome gives the caller exactly
+    what a second call would.
+    """
+    if result.outcome is not None:
+        return result.outcome
+    with span("assign"):
+        return _assign(view, result.filters)
 
 
 def _finish(result: FilterAssignResult,
@@ -212,10 +241,11 @@ def prune_redundant_rects(view: SLPView,
         dropping = np.flatnonzero(lost & (cover_count == 2))
         increments = np.zeros(num_targets)
         if len(dropping):
-            remaining = cover[:, dropping].copy()
+            remaining = cover[:, dropping]    # fancy indexing: a copy
             remaining[i] = False
-            new_solo_broker = remaining.argmax(axis=0)
-            np.add.at(increments, new_solo_broker, wvec[dropping])
+            increments = np.bincount(remaining.argmax(axis=0),
+                                     weights=wvec[dropping],
+                                     minlength=num_targets)
         if np.any(exclusive + increments > caps):
             continue
         # Aggregate guard: splitting every subscriber evenly among its
@@ -317,9 +347,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                     # assignment; unrouted subscribers become violators so
                     # the reweighting steers future samples toward them.
                     with span("assign"):
-                        outcome = assign_subscriptions(view, pruned) \
-                            if view.weights is None else \
-                            assign_subscriptions_weighted(view, pruned)
+                        outcome = candidate.outcome = _assign(view, pruned)
                     unrouted = outcome.info["unrouted"]
                     if outcome.feasible:
                         candidate.info["runtime_seconds"] = \

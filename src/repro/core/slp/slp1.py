@@ -29,8 +29,12 @@ from ...perf.profiler import span
 from ..problem import SAProblem, SASolution
 from .adjust import adjust_filters
 from .aggregate import AggregationConfig, distribute_aggregated
-from .assign_flow import assign_subscriptions
-from .sampling import FilterAssignConfig, FilterAssignResult, filter_assign
+from .sampling import (
+    FilterAssignConfig,
+    FilterAssignResult,
+    assignment_outcome,
+    filter_assign,
+)
 from .view import view_from_problem
 
 __all__ = ["slp1"]
@@ -66,8 +70,7 @@ def slp1(problem: SAProblem, *, seed: int = 0,
         aggregation_info = dist.info
     else:
         preliminary: FilterAssignResult = filter_assign(view, rng, config)
-        with span("assign"):
-            outcome = assign_subscriptions(view, preliminary.filters)
+        outcome = assignment_outcome(view, preliminary)
         target_of = outcome.target_of
         fractional = preliminary.fractional_objective
         filter_assign_info = preliminary.info

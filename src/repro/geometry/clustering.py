@@ -84,7 +84,9 @@ def _cluster_means(pts: np.ndarray, labels: np.ndarray,
     """Per-cluster means, bit-identical to ``pts[labels == c].mean(axis=0)``.
 
     For ``d >= 2`` that mean sums each coordinate sequentially in input
-    order, which ``np.add.at`` reproduces in one call.  For ``d == 1``
+    order, which one weighted ``np.bincount`` over (cluster, coordinate)
+    bins reproduces: it too adds each weight to its bin in input order,
+    starting from ``0.0``.  For ``d == 1``
     numpy reduces along the contiguous axis pairwise instead; a
     ``reduceat`` over label-sorted values with a ``0.0`` put in front of
     each cluster reproduces that (``reduceat`` adds the first element to
@@ -98,8 +100,9 @@ def _cluster_means(pts: np.ndarray, labels: np.ndarray,
         padded[np.delete(np.arange(len(padded)), starts)] = pts[order, 0]
         sums = np.add.reduceat(padded, starts)[:, None]
     else:
-        sums = np.zeros((k, d))
-        np.add.at(sums, labels, pts)
+        bins = (labels[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(bins, weights=pts.ravel(),
+                           minlength=k * d).reshape(k, d)
     return sums / sizes[:, None]
 
 

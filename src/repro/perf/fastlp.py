@@ -1,17 +1,26 @@
 """Thin fast path to HiGHS for the LPRelax relaxation.
 
 ``scipy.optimize.linprog`` spends a measurable slice of each call in
-input cleaning (densify/validate/convert) before handing the model to
-HiGHS.  LPRelax calls it dozens of times per SLP run with inputs that
-are already in the exact shape scipy would produce, so
-:func:`solve_bounded_lp` rebuilds only the pieces of the pipeline that
-matter — the same CSC conversion, the same HiGHS options dictionary,
-the same status/result checks — and invokes scipy's own
-``_highs_wrapper`` directly.  Every array handed to the wrapper is
-constructed the way ``_linprog_highs`` constructs it, so the solve is
+input cleaning (densify/validate/convert) and in its HiGHS wrapper
+before and after the solve itself.  LPRelax calls it about a hundred
+times per aggregated SLP run with inputs that are already in the exact
+shape scipy would produce, and reads only ``success``, ``x`` and
+``fun``.  So :func:`solve_bounded_lp` talks to scipy's bundled HiGHS
+bindings directly: it fills a ``HighsLp`` from the same CSC arrays and
+bounds ``_linprog_highs`` builds, passes one ``HighsOptions`` holding
+the options scipy sets for ``method="highs"`` (built once, not
+re-validated per call), runs the solve, and reads the primal column
+and row values and the objective.  Status mapping and the post-solve
+bound/residual check are scipy's own functions.
+
+What the direct path leaves out is what LPRelax never reads: the dual
+values and bound multipliers (``lambda``, ``marg_bnds``, and the
+per-column Python loop and ``getBasis`` call that build them), and the
+per-call option validation through ``HighsOptionsManager``.  HiGHS sees
+the same model and the same option values, so the solve is
 bit-identical to ``linprog(c, A_ub=a, b_ub=b, bounds=(0, 1),
-method="highs")``; the differential oracles in ``repro.verify``
-confirm this empirically.
+method="highs")``; ``tests/test_perf_fastlp.py`` checks this on every
+LP of a small aggregated SLP run, infeasible ones included.
 
 The private scipy entry points are an implementation detail of the
 installed scipy; when any of them is missing the module transparently
@@ -40,41 +49,34 @@ __all__ = ["solve_bounded_lp", "load_backend", "FAST_PATH_AVAILABLE"]
 
 @functools.cache
 def _highs() -> SimpleNamespace | None:
-    """scipy's HiGHS entry points, imported once, on the first solve.
+    """scipy's HiGHS bindings and the solve options, built once.
 
     ``None`` when the installed scipy lacks the private layout; the
     solve then goes through public ``linprog``.
     """
     try:  # scipy >= 1.15 layout; fall back to public linprog otherwise
         from scipy.optimize import _linprog_highs as _lh
+        from scipy.optimize._highspy import _core
         from scipy.optimize._linprog_util import _check_result
-        # Same effective options dict ``_linprog_highs`` builds for
-        # ``method="highs"`` with default solver options (None values are
-        # skipped by the wrapper, as are 'sense' and 'solver'=None).
-        options = {
-            "presolve": True,
-            "sense": _lh.ObjSense.kMinimize,
-            "solver": None,
-            "time_limit": None,
-            "highs_debug_level": _lh.HighsDebugLevel.kHighsDebugLevelNone,
-            "dual_feasibility_tolerance": None,
-            "ipm_optimality_tolerance": None,
-            "log_to_console": False,
-            "mip_max_nodes": None,
-            "output_flag": False,
-            "primal_feasibility_tolerance": None,
-            "simplex_dual_edge_weight_strategy": None,
-            "simplex_strategy":
-                _lh.s_c.SimplexStrategy.kSimplexStrategyDual,
-            "ipm_iteration_limit": None,
-            "simplex_iteration_limit": None,
-            "mip_rel_gap": None,
-        }
+        # The options ``_highs_wrapper`` sets from the dict
+        # ``_linprog_highs`` builds for ``method="highs"`` with default
+        # solver options (it skips the None values and 'sense', and
+        # passes booleans for 'presolve' as "on"/"off").
+        options = _core.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = \
+            _lh.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = \
+            _lh.s_c.SimplexStrategy.kSimplexStrategyDual
         return SimpleNamespace(
-            wrapper=_lh._highs_wrapper, replace_inf=_lh._replace_inf,
+            core=_core, options=options, replace_inf=_lh._replace_inf,
             to_scipy_status=_lh._highs_to_scipy_status_message,
-            check_result=_check_result, options=options)
-    except (ImportError, AttributeError):  # pragma: no cover - scipy drift
+            check_result=_check_result)
+    except (ImportError, AttributeError, TypeError):  # pragma: no cover
+        # scipy drift: a moved module or attribute, or an option whose
+        # type changed.
         return None
 
 
@@ -109,31 +111,61 @@ def solve_bounded_lp(cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult
         return linprog(cost, A_ub=a_ub, b_ub=b_ub,
                        bounds=(0.0, 1.0), method="highs")
 
+    # The arrays ``_linprog_highs`` hands its wrapper: rows are
+    # ``-inf <= A x <= b_ub`` (infinities as HiGHS's large constant),
+    # columns ``0 <= x <= 1``.
     c = np.ascontiguousarray(cost, dtype=np.float64)
     n = c.shape[0]
-    rhs = np.ascontiguousarray(b_ub, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        lhs = -np.ones_like(rhs) * np.inf
-    lb = np.zeros(n)
-    ub = np.ones(n)
+    rhs = highs.replace_inf(np.ascontiguousarray(b_ub, dtype=np.float64))
+    lhs = highs.replace_inf(np.full(rhs.shape, -np.inf))
     A = csc_array(a_ub)
 
-    rhs = highs.replace_inf(rhs)
-    lhs = highs.replace_inf(lhs)
-    lb = highs.replace_inf(lb)
-    ub = highs.replace_inf(ub)
-    integrality = np.empty(0).astype(np.uint8)
+    core = highs.core
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.ones(n)
+    lp.row_lower_ = lhs
+    lp.row_upper_ = rhs
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
 
-    res = highs.wrapper(c, A.indptr, A.indices, A.data, lhs, rhs,
-                        lb, ub, integrality, dict(highs.options))
-
-    x = res["x"]
-    fun = res.get("fun")
-    slack = None
-    if "slack" in res:
-        slack = np.array(res["slack"])
-    status, message = highs.to_scipy_status(res.get("status", None),
-                                            res.get("message", None))
+    # The wrapper's control flow, minus the duals and the per-call option
+    # validation (see the module docstring).
+    solver = core._Highs()
+    error = core.HighsStatus.kError
+    x = slack = fun = None
+    nit = 0
+    if solver.passOptions(highs.options) == error:  # pragma: no cover
+        model_status = solver.getModelStatus()
+        message = solver.modelStatusToString(model_status)
+    elif solver.passModel(lp) == error:  # pragma: no cover
+        model_status = core.HighsModelStatus.kModelError
+        message = solver.modelStatusToString(model_status)
+    elif solver.run() == error:  # pragma: no cover
+        model_status = solver.getModelStatus()
+        message = solver.modelStatusToString(model_status)
+    else:
+        model_status = solver.getModelStatus()
+        info = solver.getInfo()
+        nit = info.simplex_iteration_count or info.ipm_iteration_count
+        if model_status == core.HighsModelStatus.kOptimal:
+            message = solver.modelStatusToString(model_status)
+            solution = solver.getSolution()
+            x = np.array(solution.col_value)
+            slack = rhs - solution.row_value
+            fun = info.objective_function_value
+        else:
+            primal = solver.solutionStatusToString(
+                info.primal_solution_status)
+            message = (f"model_status is "
+                       f"{solver.modelStatusToString(model_status)}; "
+                       f"primal_status is {primal}")
+    status, message = highs.to_scipy_status(model_status, message)
     # Same post-check linprog applies (bounds here is the (n, 2) array
     # _clean_inputs derives from ``(0.0, 1.0)``; equality residuals are
     # an empty vector since the model has no A_eq rows).
@@ -142,12 +174,11 @@ def solve_bounded_lp(cost: np.ndarray, a_ub, b_ub: np.ndarray) -> OptimizeResult
     status, message = highs.check_result(x, fun, status, slack, con,
                                          bounds, 1e-9, message, None)
     return OptimizeResult({
-        "x": None if x is None else np.asarray(x, dtype=np.float64),
+        "x": x,
         "fun": fun,
         "slack": slack,
         "status": status,
         "message": message,
         "success": status == 0,
-        "nit": res.get("simplex_nit", 0) or res.get("ipm_nit", 0),
+        "nit": nit,
     })
-

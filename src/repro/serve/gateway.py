@@ -209,7 +209,14 @@ class ServeDaemon:
                         {}, exc.code, str(exc)))
                     continue
                 except (asyncio.LimitOverrunError, ValueError):
-                    break  # oversized frame: framing is lost, drop the link
+                    # Oversized frame: the rest of the line is still on
+                    # the wire, so framing is lost.  Answer once, counted,
+                    # then drop the link.
+                    self.request_errors += 1
+                    await self._send(conn, protocol.error_reply(
+                        {}, protocol.ERR_INVALID,
+                        f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes"))
+                    break
                 if request is None:
                     break
                 response = await self._dispatch(request, conn)

@@ -55,8 +55,9 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-#: Hard cap on one frame's length; a line beyond this kills the
-#: connection (the stream reader's ``limit`` enforces it).
+#: Hard cap on one frame's length (the stream reader's ``limit``
+#: enforces it); a longer line gets one ``invalid-request`` reply and
+#: the connection is closed.
 MAX_FRAME_BYTES = 1 << 20
 
 #: Ops that change broker state and therefore honour idempotency keys.

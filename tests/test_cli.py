@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import statistics
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -226,6 +228,11 @@ class TestProfileCommand:
         assert payload["algorithm"] == "SLP1"
         assert payload["total_seconds"] > 0
         assert payload["calibration_seconds"] > 0
+        # One reading before the repeats and one after each; the gate
+        # normalizes by their median.
+        readings = payload["calibration_readings"]
+        assert len(readings) == 2
+        assert payload["calibration_seconds"] == statistics.median(readings)
         names = {stage["name"] for stage in payload["stages"]}
         assert {"filtergen", "lp_solve", "assign"} <= names
         assert payload["metadata"]["host"]["python"]

@@ -7,6 +7,7 @@ vector verbatim and the reproduction's fixed-seed results are compared
 bit-for-bit.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -17,6 +18,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import repro
+from repro import GoogleGroupsConfig, generate_google_groups, \
+    multilevel_problem
+from repro.core.slp import AggregationConfig, slp
 from repro.perf.fastlp import FAST_PATH_AVAILABLE, solve_bounded_lp
 
 
@@ -60,6 +64,47 @@ class TestAgainstLinprog:
         via_coo = solve_bounded_lp(cost, a_ub, b_ub)
         assert via_csr.fun == via_coo.fun
         assert np.array_equal(via_csr.x, via_coo.x)
+
+
+@pytest.fixture(scope="module")
+def slp_lps():
+    """Every LP a small aggregated multilevel SLP run solves."""
+    config = GoogleGroupsConfig(num_subscribers=200, num_brokers=8,
+                                interest_skew="H", broad_interests="L")
+    problem = multilevel_problem(generate_google_groups(7, config),
+                                 max_out_degree=4, seed=7)
+    lp_relax = importlib.import_module("repro.core.slp.lp_relax")
+    lps = []
+
+    def capture(cost, a_ub, b_ub):
+        lps.append((cost.copy(), a_ub.copy(), b_ub.copy()))
+        return solve_bounded_lp(cost, a_ub, b_ub)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_relax, "solve_bounded_lp", capture)
+        slp(problem, seed=0, aggregation=AggregationConfig(
+            max_group_size=4, min_subscribers=1))
+    return lps
+
+
+def test_matches_linprog_on_every_slp_lp(slp_lps):
+    # The SLP LPs are what the fast path exists for; an Sb draw that
+    # overloads a target makes some of them infeasible.
+    statuses = []
+    for cost, a_ub, b_ub in slp_lps:
+        fast = solve_bounded_lp(cost, a_ub, b_ub)
+        ref = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                      bounds=(0.0, 1.0), method="highs")
+        assert fast.status == ref.status
+        assert fast.success == ref.success
+        assert fast.fun == ref.fun
+        if ref.x is None:
+            assert fast.x is None
+        else:
+            assert np.array_equal(fast.x, ref.x)
+        statuses.append(fast.status)
+    assert 0 in statuses
+    assert 2 in statuses  # infeasible
 
 
 def test_fast_path_available_on_this_scipy():

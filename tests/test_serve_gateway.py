@@ -14,6 +14,7 @@ from repro.serve.protocol import (
     ERR_BAD_JSON,
     ERR_INVALID,
     ERR_UNKNOWN_OP,
+    MAX_FRAME_BYTES,
     decode_frame,
     encode_frame,
     ProtocolError,
@@ -169,6 +170,61 @@ class TestValidation:
             assert stats["published"] == 0
             writer.close()
             await writer.wait_closed()
+
+        asyncio.run(with_daemon(problem, body))
+
+    def test_oversized_frame_gets_one_error_and_a_close(self, problem):
+        async def body(daemon):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            # A well-formed publish, padded past the frame cap.
+            padding = b" " * MAX_FRAME_BYTES
+            writer.write(b'{"op":"publish","point":[0.5,0.5]' + padding
+                         + b"}\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == ERR_INVALID
+            assert str(MAX_FRAME_BYTES) in reply["message"]
+            # Then the daemon closes the link.  Closing a socket whose
+            # input was not all read makes the kernel send a reset, so
+            # the end may read as EOF or as a reset.
+            try:
+                assert await reader.read() == b""
+            except ConnectionResetError:
+                pass
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionResetError:
+                pass
+            async with await ServeClient.connect(
+                    "127.0.0.1", daemon.port) as client:
+                stats = await client.stats()
+            assert stats["request_errors"] == 1
+            assert stats["published"] == 0
+
+        asyncio.run(with_daemon(problem, body))
+
+    def test_truncated_final_frame_gets_bad_json_and_publishes_nothing(
+            self, problem):
+        async def body(daemon):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            writer.write(b'{"op":"publish","point":[1')
+            writer.write_eof()
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == ERR_BAD_JSON
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            async with await ServeClient.connect(
+                    "127.0.0.1", daemon.port) as client:
+                stats = await client.stats()
+            assert stats["request_errors"] == 1
+            assert stats["published"] == 0
 
         asyncio.run(with_daemon(problem, body))
 

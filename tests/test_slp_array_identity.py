@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro import ALGORITHMS
-from repro.core.slp.assign_flow import _SlotState
+from repro.core.slp.assign_flow import _coverer_lists, _SlotState
 from repro.geometry import RectSet, alpha_meb_cover, cluster_rects_to_mebs, kmeans
-from repro.geometry.clustering import _pairwise_sum_rows
+from repro.geometry.clustering import _cluster_means, _pairwise_sum_rows
 from repro.verify import corrupt_latency, corrupt_nesting
 from repro.verify.invariants import _check_assignment, _check_latency, _check_nesting
 
@@ -177,6 +177,34 @@ class TestSlotCostsIdentity:
             if pick % 3:
                 state.commit(pick, lo, hi)
         assert (state.count == alpha).any() and (state.count == 0).any()
+
+
+class TestClusterMeansIdentity:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_matches_per_cluster_mean(self, d):
+        rng = np.random.default_rng(600 + d)
+        for pts, k in point_sets(d, rng):
+            k = min(k, len(pts))
+            labels = np.concatenate([np.arange(k),
+                                     rng.integers(0, k, len(pts) - k)])
+            rng.shuffle(labels)
+            sizes = np.bincount(labels, minlength=k)
+            expected = np.array([pts[labels == c].mean(axis=0)
+                                 for c in range(k)])
+            assert same_bits(_cluster_means(pts, labels, sizes), expected)
+
+
+class TestCovererListsIdentity:
+    @pytest.mark.parametrize("density", (0.0, 0.05, 0.5, 1.0))
+    def test_matches_per_column_flatnonzero(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        for rows, cols in ((1, 1), (7, 300), (64, 40), (3, 0)):
+            mask = rng.random((rows, cols)) < density
+            got = _coverer_lists(mask)
+            expected = [np.flatnonzero(mask[:, j]) for j in range(cols)]
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert same_bits(a, b)
 
 
 class TestVerifierIdentity:

@@ -8,8 +8,9 @@ from repro.core.slp import FilterAssignConfig, filter_assign
 from repro.core.slp.assign_flow import (
     assign_subscriptions,
     assign_subscriptions_maxflow,
+    assign_subscriptions_weighted,
 )
-from repro.core.slp.sampling import prune_redundant_rects
+from repro.core.slp.sampling import assignment_outcome, prune_redundant_rects
 from repro.core.slp.view import SLPView, view_from_problem
 from repro.geometry import RectSet
 
@@ -200,3 +201,81 @@ class TestAssignment:
         outcome = assign_subscriptions(view, result.filters)
         assert not outcome.feasible
         assert (outcome.target_of >= 0).all()  # best effort still assigns
+
+
+def fresh_outcome(view, filters):
+    if view.weights is None:
+        return assign_subscriptions(view, filters)
+    return assign_subscriptions_weighted(view, filters)
+
+
+def assert_same_outcome(got, fresh):
+    assert np.array_equal(got.target_of, fresh.target_of)
+    assert got.achieved_beta == fresh.achieved_beta
+    assert got.feasible == fresh.feasible
+    assert got.info == fresh.info
+    assert np.array_equal(got.unrouted_subscribers,
+                          fresh.unrouted_subscribers)
+
+
+class TestAcceptedOutcome:
+    """FilterAssign hands back the assignment its acceptance check made.
+
+    Callers use it instead of assigning again, so it must be exactly
+    what a fresh assignment over the returned filters gives.
+    """
+
+    @staticmethod
+    def weighted(view, rng):
+        view.weights = rng.integers(1, 4, size=view.num_subscribers) \
+            .astype(float)
+        return view
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outcome_equals_a_fresh_assignment(self, weighted, seed):
+        rng = np.random.default_rng(seed)
+        view = make_view(rng, m=90, brokers=4)
+        if weighted:
+            view = self.weighted(view, rng)
+        result = filter_assign(view, rng)
+        assert result.outcome is not None
+        assert_same_outcome(result.outcome,
+                            fresh_outcome(view, result.filters))
+        assert assignment_outcome(view, result) is result.outcome
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_best_unrouted_candidate_keeps_its_outcome(self, weighted):
+        # 44 subscribers reach only target 0, whose cap is 40: the LP
+        # (C3 runs over a sample) can be feasible, the assignment never
+        # is, so FilterAssign returns its least-unrouted candidate.
+        rng = np.random.default_rng(0)
+        view = make_view(rng, m=200, brokers=3)
+        if weighted:
+            view = self.weighted(view, rng)
+        view.beta = view.beta_max = 1.0
+        view.kappas_effective = np.array([0.2, 0.3, 0.5])
+        view.feasible[1:, :44] = False
+        result = filter_assign(view, rng,
+                               FilterAssignConfig(max_total_iterations=3))
+        assert not result.used_fallback
+        assert result.info["accepted_with_unrouted"] > 0
+        assert not result.outcome.feasible
+        assert_same_outcome(result.outcome,
+                            fresh_outcome(view, result.filters))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_unchecked_results_assign_afresh(self, weighted):
+        rng = np.random.default_rng(7)
+        view = make_view(rng, m=60, brokers=3)
+        if weighted:
+            view = self.weighted(view, rng)
+        unchecked = filter_assign(
+            view, rng, FilterAssignConfig(require_load_feasible=False))
+        view.feasible[:, 0] = False   # nobody reaches subscriber 0
+        fallback = filter_assign(view, rng)
+        assert fallback.used_fallback
+        for result in (unchecked, fallback):
+            assert result.outcome is None
+            assert_same_outcome(assignment_outcome(view, result),
+                                fresh_outcome(view, result.filters))
