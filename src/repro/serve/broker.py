@@ -25,6 +25,8 @@ serve-vs-runtime differential oracle asserts.
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -38,6 +40,9 @@ from ..pubsub.routing import RoutingPlan
 from . import protocol
 
 __all__ = ["Publication", "DeliveryQueue", "RoutingTable", "LiveBroker"]
+
+#: The per-event counts every publish path returns, in reply order.
+_COUNTS = ("matched", "delivered", "dropped", "missed")
 
 
 class Publication:
@@ -98,17 +103,29 @@ class DeliveryQueue:
 
     def offer(self, item: Any) -> bool:
         """Enqueue without blocking; ``False`` (and a drop) when full."""
-        items = self._items
-        if self.closed or len(items) >= self.capacity:
-            self.dropped += 1
-            return False
-        items.append(item)
-        self.enqueued += 1
-        if len(items) > self.peak:
-            self.peak = len(items)
-        if len(items) == 1 and self._on_ready is not None:
+        return self.offer_many([item]) == 1
+
+    def offer_many(self, items: list[Any]) -> int:
+        """Enqueue ``items`` in order until full; returns how many fit.
+
+        The rest are dropped, exactly as one :meth:`offer` per item
+        would drop them.
+        """
+        queue = self._items
+        room = 0 if self.closed else self.capacity - len(queue)
+        if len(items) > room:
+            self.dropped += len(items) - room
+            items = items[:room]
+            if not items:
+                return 0
+        was_empty = not queue
+        queue.extend(items)
+        self.enqueued += len(items)
+        if len(queue) > self.peak:
+            self.peak = len(queue)
+        if was_empty and self._on_ready is not None:
             self._on_ready(self)
-        return True
+        return len(items)
 
     def take(self, limit: int) -> list[Any]:
         """Remove and return up to ``limit`` items, oldest first."""
@@ -260,16 +277,25 @@ class LiveBroker:
 
     # -- publication ---------------------------------------------------------
 
-    def publish(self, point: Any, *, sent_at: float | None = None,
-                event_id: Any = None) -> dict[str, int]:
-        """Route one event through the current table; returns the counts."""
+    def event_point(self, point: Any) -> np.ndarray:
+        """``point`` as a validated event: finite, one float per dimension.
+
+        Raises ``ValueError`` otherwise.
+        """
         pt = _coordinates(point)
         if pt.shape != (self._problem.event_dim,):
             raise ValueError(f"event point must have {self._problem.event_dim}"
                              f" coordinates, got shape {pt.shape}")
         if not np.all(np.isfinite(pt)):
             raise ValueError("event point coordinates must be finite")
-        return self._publish(pt[None, :], sent_at, [event_id])
+        return pt
+
+    def publish(self, point: Any, *, sent_at: float | None = None,
+                event_id: Any = None) -> dict[str, int]:
+        """Route one event through the current table; returns the counts."""
+        counts = self._publish(self.event_point(point)[None, :], [sent_at],
+                               [event_id])
+        return {key: column[0] for key, column in zip(_COUNTS, counts)}
 
     def publish_batch(self, points: Any, *, sent_at: float | None = None,
                       event_ids: list[Any] | None = None) -> dict[str, int]:
@@ -291,39 +317,66 @@ class LiveBroker:
             raise ValueError("event point coordinates must be finite")
         if event_ids is not None and len(event_ids) != pts.shape[0]:
             raise ValueError("need one event id per point")
-        summary = self._publish(pts, sent_at, event_ids
-                                or [None] * pts.shape[0])
-        summary["events"] = pts.shape[0]
+        n = pts.shape[0]
+        counts = self._publish(pts, [sent_at] * n, event_ids or [None] * n)
+        summary = {key: sum(column) for key, column in zip(_COUNTS, counts)}
+        summary["events"] = n
         return summary
 
-    def _publish(self, pts: np.ndarray, sent_at: float | None,
-                 event_ids: list[Any]) -> dict[str, int]:
-        """Account and enqueue validated ``(n, event_dim)`` points."""
+    def publish_block(self, points: list[np.ndarray], sent_ats: list[Any],
+                      event_ids: list[Any]) -> list[dict[str, int]]:
+        """Route events already checked by :meth:`event_point` as one block.
+
+        Each event keeps its own ``sent_at`` and id, and gets its own
+        counts: those one :meth:`publish` call per event, in order, would
+        return.
+        """
+        counts = self._publish(np.array(points), sent_ats, event_ids)
+        return [dict(zip(_COUNTS, column)) for column in zip(*counts)]
+
+    def _publish(self, pts: np.ndarray, sent_ats: list[Any],
+                 event_ids: list[Any]) -> list[list[int]]:
+        """Account and enqueue validated ``(n, event_dim)`` points.
+
+        Returns one list per entry of ``_COUNTS``, holding that count
+        for each event.
+        """
         _, entered, match, deliver = self._routing.route(pts, self._matcher)
+        n = pts.shape[0]
         self.node_entries += entered.sum(axis=1)
-        self.published += pts.shape[0]
-        matched = int(match.sum())
-        delivered = 0
-        dropped = 0
-        missed = matched - int(deliver.sum())
+        self.published += n
+        # Flat indices, not axis sums: numpy reduces small bool matrices
+        # along an axis several times slower than it finds their nonzeros.
+        subs, cols = divmod(np.flatnonzero(deliver), n)
+        self.deliveries += np.bincount(subs, minlength=len(self.deliveries))
+        matched = np.bincount(np.flatnonzero(match) % n, minlength=n).tolist()
+        delivered = np.bincount(cols, minlength=n).tolist()
+        dropped = [0] * n
+        missed = [m - d for m, d in zip(matched, delivered)]
         events = [Publication(pt, sent_at, event_id)
-                  for pt, event_id in zip(pts, event_ids)]
+                  for pt, sent_at, event_id in zip(pts, sent_ats, event_ids)]
         queues = self._queues
-        # Event-major, subscriber-ascending: each queue sees event order.
-        for i, j in zip(*(a.tolist() for a in np.nonzero(deliver.T))):
+        # Subscriber-major with events ascending: one offer hands each
+        # queue all its events, in event order.
+        for j, pairs in groupby(zip(subs.tolist(), cols.tolist()),
+                                itemgetter(0)):
+            mine = [i for _, i in pairs]
             queue = queues.get(j)
             if queue is None:  # unsubscribed after the snapshot
-                missed += 1
-            elif queue.offer(events[i]):
-                self.deliveries[j] += 1
-                delivered += 1
+                lost, shed = mine, missed
             else:
-                self.drops[j] += 1
-                dropped += 1
-        self.matched += matched
-        self.missed += missed
-        return {"matched": matched, "delivered": delivered,
-                "dropped": dropped, "missed": missed}
+                taken = queue.offer_many([events[i] for i in mine])
+                if taken == len(mine):
+                    continue
+                lost, shed = mine[taken:], dropped
+                self.drops[j] += len(lost)
+            self.deliveries[j] -= len(lost)
+            for i in lost:
+                delivered[i] -= 1
+                shed[i] += 1
+        self.matched += sum(matched)
+        self.missed += sum(missed)
+        return [matched, delivered, dropped, missed]
 
     # -- re-optimization -----------------------------------------------------
 

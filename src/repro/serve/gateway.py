@@ -3,15 +3,19 @@
 ``ServeDaemon`` binds a listening socket and speaks the newline-delimited
 JSON protocol of :mod:`repro.serve.protocol`.  Each connection may issue
 any mix of ops; a connection that subscribes becomes the delivery
-channel for those subscribers.  Every connection owns one *pump* task.
-An offer into an empty subscriber queue marks that subscriber ready on
-its connection and wakes the pump, which drains every ready queue (up to
-``_PUMP_BATCH`` events each per round) and sends the round's frames in
-one socket write.  Each event is serialized once, however many
-subscribers receive it; a frame is that shared tail behind a short
-per-subscriber prefix.  A slow client stalls only its own pump, and its
-bounded queues shed the overflow (queue drops) without stalling anyone
-else.
+channel for those subscribers.  A connection answers every frame of one
+read in one pass, in order, and writes the pass's replies at once.
+Consecutive key-less publishes in that pass are routed as one block,
+each still answered with its own counts; every other frame is
+dispatched on its own, in its place.  Every connection also owns one
+*pump* task.  An offer into an empty subscriber queue marks that
+subscriber ready on its connection and wakes the pump, which drains
+every ready queue (up to ``_PUMP_BATCH`` events each per round) and
+sends the round's frames in one socket write.  Each event is serialized
+once, however many subscribers receive it; a frame is that shared tail
+behind a short per-subscriber prefix.  A slow client stalls only its
+own pump, and its bounded queues shed the overflow (queue drops)
+without stalling anyone else.
 
 Mutating requests honour idempotency keys: the first response for a key
 is cached and replayed verbatim for duplicates, so retries cannot
@@ -30,6 +34,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..core.problem import SAProblem
 from ..perf import fastlp
 from . import protocol
@@ -40,6 +46,10 @@ __all__ = ["ServeConfig", "ServeDaemon"]
 
 #: Idempotency responses remembered per daemon before the oldest expire.
 _IDEMPOTENCY_CACHE_SIZE = 65536
+
+#: Ops that take the churn lock (a tuple: a frame's ``op`` may be any
+#: JSON value, hashable or not).
+_CHURN_OPS = ("subscribe", "unsubscribe")
 
 #: Events a pump takes from one subscriber's queue per round, so a deep
 #: queue cannot hold back the connection's other subscribers.
@@ -67,7 +77,7 @@ class _Connection:
     """Per-connection state: owned subscribers and their delivery pump."""
 
     __slots__ = ("writer", "write_lock", "subscribers", "conn_id", "ready",
-                 "wake", "pump")
+                 "wake", "pump", "handler", "departure")
 
     def __init__(self, writer: asyncio.StreamWriter, conn_id: int):
         self.writer = writer
@@ -81,6 +91,10 @@ class _Connection:
         self.ready: dict[int, DeliveryQueue] = {}
         self.wake = asyncio.Event()
         self.pump = asyncio.get_running_loop().create_task(self.deliver())
+        #: The task serving this connection (the one creating it), and
+        #: the one unsubscribing its subscribers at teardown.
+        self.handler = asyncio.current_task()
+        self.departure: asyncio.Task | None = None
 
     def mark_ready(self, queue: DeliveryQueue) -> None:
         """The ``on_ready`` hook of every queue this connection owns."""
@@ -170,14 +184,30 @@ class ServeDaemon:
         self.reoptimizer.start()
 
     async def stop(self) -> None:
-        """Stop accepting, drop live connections, cancel the reoptimizer."""
+        """Stop accepting and the reoptimizer, then drop every connection.
+
+        Every listed connection's subscribers are unsubscribed here,
+        including those of a teardown still queued on ``churn_lock``,
+        whose wait for the lock is then cancelled.  Every connection
+        handler is awaited, so no unsubscribe is lost to the loop
+        shutting down.
+        """
         await self.reoptimizer.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        handlers = []
         for conn in list(self._connections):
+            # No lock needed: the reoptimizer has stopped, and nothing
+            # else can run on the loop meanwhile.
+            self._drop_subscribers(conn)
             conn.writer.close()
+            if conn.departure is not None:
+                conn.departure.cancel()  # nothing left for it to do
+            if conn.handler is not None:
+                handlers.append(conn.handler)
+        await asyncio.gather(*handlers, return_exceptions=True)
 
     async def run(self, run_for: float | None = None) -> None:
         """Serve until cancelled (or for ``run_for`` seconds), then stop."""
@@ -199,28 +229,19 @@ class ServeDaemon:
         conn = _Connection(writer, self._next_conn_id)
         self._next_conn_id += 1
         self._connections.add(conn)
+        frames = protocol.FrameReader(reader)
         try:
-            while True:
-                try:
-                    request = await protocol.read_frame(reader)
-                except protocol.ProtocolError as exc:
+            while not frames.done:
+                replies = await self._answer(await frames.read(), conn)
+                if frames.overrun:
+                    # Framing is lost: answer once, counted, then drop
+                    # the link.
                     self.request_errors += 1
-                    await self._send(conn, protocol.error_reply(
-                        {}, exc.code, str(exc)))
-                    continue
-                except (asyncio.LimitOverrunError, ValueError):
-                    # Oversized frame: the rest of the line is still on
-                    # the wire, so framing is lost.  Answer once, counted,
-                    # then drop the link.
-                    self.request_errors += 1
-                    await self._send(conn, protocol.error_reply(
+                    replies.append(protocol.encode_frame(protocol.error_reply(
                         {}, protocol.ERR_INVALID,
-                        f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes"))
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch(request, conn)
-                await self._send(conn, response)
+                        f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes")))
+                if replies:
+                    await self._send(conn, replies)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -231,25 +252,112 @@ class ServeDaemon:
             finally:
                 self._connections.discard(conn)
 
-    async def _send(self, conn: _Connection, message: dict[str, Any]) -> None:
+    async def _answer(self, lines: list[bytes],
+                      conn: _Connection) -> list[bytes]:
+        """Answer one read turn's frames, in order; the encoded replies.
+
+        Consecutive plain publishes (see :meth:`_plain_point`) form a
+        run, routed as one block when any other frame or the end of the
+        turn closes it.  Every other frame is dispatched on its own, in
+        its place.
+        """
+        replies: list[bytes] = []
+        run: list[tuple[dict[str, Any], np.ndarray]] = []
+        for line in lines:
+            try:
+                request = protocol.decode_frame(line)
+            except protocol.ProtocolError as exc:
+                self.request_errors += 1
+                response = protocol.error_reply({}, exc.code, str(exc))
+            else:
+                point = self._plain_point(request)
+                if point is not None:
+                    self.requests += 1
+                    run.append((request, point))
+                    continue
+                response = None
+            replies += self._publish_run(run)
+            run = []
+            if response is None:
+                if (replies and self.churn_lock.locked()
+                        and request.get("op") in _CHURN_OPS):
+                    # The op waits for the lock: earlier replies go now.
+                    await self._send(conn, replies)
+                    replies = []
+                response = await self._dispatch(request, conn)
+            replies.append(protocol.encode_frame(response))
+        return replies + self._publish_run(run)
+
+    def _plain_point(self, request: dict[str, Any]) -> np.ndarray | None:
+        """The event of a key-less publish that passes validation, else None.
+
+        Only such frames join a block; any other frame is dispatched,
+        where a failing check gets its error reply.
+        """
+        if request.get("op") != "publish" or request.get("key") is not None:
+            return None
+        try:
+            _sent_at(request)
+            return self.broker.event_point(_publish_point(request))
+        except ValueError:
+            return None
+
+    def _publish_run(self, run: list[tuple[dict[str, Any], np.ndarray]]
+                     ) -> list[bytes]:
+        """Route a run of plain publishes as one block; their replies.
+
+        A run of one is an ordinary ``publish`` call, so the broker's
+        ``publish`` still covers (and per-layer timings still see) every
+        frame that arrives alone.
+        """
+        if not run:
+            return []
+        requests = [request for request, _ in run]
+        if len(run) == 1:
+            [(request, point)] = run
+            counts = [self.broker.publish(point,
+                                          sent_at=request.get("sentAt"),
+                                          event_id=request.get("eventId"))]
+        else:
+            counts = self.broker.publish_block(
+                [point for _, point in run],
+                [request.get("sentAt") for request in requests],
+                [request.get("eventId") for request in requests])
+        return [protocol.encode_frame(protocol.reply(request, **summary))
+                for request, summary in zip(requests, counts)]
+
+    async def _send(self, conn: _Connection, frames: list[bytes]) -> None:
         async with conn.write_lock:
-            await protocol.write_frame(conn.writer, message)
+            await protocol.write_frames(conn.writer, frames)
 
     async def _teardown(self, conn: _Connection) -> None:
         """Auto-unsubscribe a closing connection's subscribers (churn)."""
         conn.pump.cancel()
         if conn.subscribers:
-            async with self.churn_lock:
-                for j in list(conn.subscribers):
-                    try:
-                        self.broker.unsubscribe(j)
-                    except ValueError:
-                        pass  # already gone via an explicit unsubscribe race
+            # A task of its own, so that stop() can cancel the wait for
+            # the lock without cancelling this handler.
+            departure = conn.departure = asyncio.ensure_future(
+                self._depart(conn))
+            await asyncio.wait({departure})
+            if not departure.cancelled():
+                departure.result()
         try:
             conn.writer.close()
             await conn.writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
+
+    async def _depart(self, conn: _Connection) -> None:
+        async with self.churn_lock:
+            self._drop_subscribers(conn)
+
+    def _drop_subscribers(self, conn: _Connection) -> None:
+        for j in list(conn.subscribers):
+            try:
+                self.broker.unsubscribe(j)
+            except ValueError:
+                pass  # already gone via an explicit unsubscribe race
+        conn.subscribers.clear()
 
     # -- request dispatch ----------------------------------------------------
 
@@ -319,10 +427,7 @@ class ServeDaemon:
                 self.broker.unsubscribe(j)
                 conn.subscribers.discard(j)
             return protocol.reply(request, subscriber=j)
-        sent_at = request.get("sentAt")
-        if sent_at is not None and not _is_finite_number(sent_at):
-            raise protocol.ProtocolError(
-                protocol.ERR_INVALID, "sentAt must be a finite number")
+        sent_at = _sent_at(request)
         if op == "publish_batch":
             points = _field(request, "points")
             if not isinstance(points, (list, tuple)) or not all(
@@ -341,12 +446,8 @@ class ServeDaemon:
                 points, sent_at=sent_at,
                 event_ids=list(event_ids) if event_ids is not None else None)
             return protocol.reply(request, **summary)
-        # publish
-        point = _field(request, "point")
-        if not isinstance(point, (list, tuple)):
-            raise protocol.ProtocolError(
-                protocol.ERR_INVALID, "publish point must be a number list")
-        summary = self.broker.publish(point, sent_at=sent_at,
+        summary = self.broker.publish(_publish_point(request),
+                                      sent_at=sent_at,
                                       event_id=request.get("eventId"))
         return protocol.reply(request, **summary)
 
@@ -368,6 +469,24 @@ def _is_finite_number(value: Any) -> bool:
     if isinstance(value, int):
         return True
     return isinstance(value, float) and math.isfinite(value)
+
+
+def _sent_at(request: dict[str, Any]) -> Any:
+    """A publish's optional ``sentAt``, which must be a finite number."""
+    sent_at = request.get("sentAt")
+    if sent_at is not None and not _is_finite_number(sent_at):
+        raise protocol.ProtocolError(
+            protocol.ERR_INVALID, "sentAt must be a finite number")
+    return sent_at
+
+
+def _publish_point(request: dict[str, Any]) -> list[Any] | tuple[Any, ...]:
+    """A ``publish`` frame's ``point``, which must be a list."""
+    point = _field(request, "point")
+    if not isinstance(point, (list, tuple)):
+        raise protocol.ProtocolError(
+            protocol.ERR_INVALID, "publish point must be a number list")
+    return point
 
 
 def _field(request: dict[str, Any], name: str) -> Any:

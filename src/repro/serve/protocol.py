@@ -7,7 +7,8 @@ may carry an idempotency ``key``: the gateway caches the first response
 per key and replays it verbatim for duplicates, so a client retrying
 over a flaky connection cannot double-apply a mutation.  Replies echo
 the request's correlation ``id`` so one connection can pipeline
-requests; pushed events are distinguished by ``"type": "event"``.
+requests (replies come back in request order); pushed events are
+distinguished by ``"type": "event"``.
 
 The protocol is intentionally tiny: six ops, two error shapes, one
 frame format.  Validation failures never kill the connection — the
@@ -44,6 +45,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "read_frame",
+    "FrameReader",
     "write_frame",
     "write_frames",
     "reply",
@@ -55,10 +57,14 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-#: Hard cap on one frame's length (the stream reader's ``limit``
+#: Hard cap on one frame's length, newline excluded (:class:`FrameReader`
 #: enforces it); a longer line gets one ``invalid-request`` reply and
 #: the connection is closed.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Bytes :class:`FrameReader` asks the stream for per read.  A read
+#: returns at once with whatever has arrived, up to this much.
+READ_BYTES = 1 << 16
 
 #: Ops that change broker state and therefore honour idempotency keys.
 MUTATING_OPS = frozenset({"subscribe", "unsubscribe", "publish",
@@ -130,6 +136,56 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     if not line:
         return None
     return decode_frame(line)
+
+
+class FrameReader:
+    """Cuts a byte stream into frames, every frame that has arrived at once.
+
+    Built on the stream's public ``read``: each :meth:`read` returns the
+    complete lines (newline stripped) of everything that has arrived,
+    waiting only until there is at least one.  At the end of the stream
+    a last line without its newline is returned as a frame of its own,
+    so a truncated frame still gets decoded (and rejected).  A line over
+    :data:`MAX_FRAME_BYTES` ends the stream: the frames before it are
+    returned and :attr:`overrun` is set.
+    """
+
+    __slots__ = ("_reader", "_rest", "done", "overrun")
+
+    def __init__(self, reader: asyncio.StreamReader):
+        self._reader = reader
+        self._rest = b""
+        self.done = False      #: the stream ended or overran
+        self.overrun = False   #: a line exceeded MAX_FRAME_BYTES
+
+    async def read(self) -> list[bytes]:
+        """The next frames, oldest first; ``[]`` only at the end.
+
+        Call it only while :attr:`done` is false.
+        """
+        while True:
+            chunk = await self._reader.read(READ_BYTES)
+            if not chunk:
+                self.done = True
+                rest, self._rest = self._rest, b""
+                return [rest] if rest else []
+            lines = (self._rest + chunk).split(b"\n")
+            self._rest = lines.pop()
+            # Only the first line can be too long: the others lie within
+            # one chunk, and READ_BYTES < MAX_FRAME_BYTES.
+            if lines and len(lines[0]) > MAX_FRAME_BYTES:
+                return self._overran([])
+            if len(self._rest) > MAX_FRAME_BYTES:
+                return self._overran(lines)
+            if lines:
+                return lines
+
+    def _overran(self, frames: list[bytes]) -> list[bytes]:
+        # The rest of the long line may still be on the wire, so framing
+        # is lost: nothing after it is read.
+        self.done = self.overrun = True
+        self._rest = b""
+        return frames
 
 
 async def write_frame(writer: asyncio.StreamWriter,

@@ -73,6 +73,7 @@ class Reoptimizer:
             self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
+        """Cancel the poll loop; a solve in flight finishes first."""
         if self._task is not None:
             self._task.cancel()
             try:
@@ -108,9 +109,16 @@ class Reoptimizer:
         kwargs = ({"seed": config.seed}
                   if config.algorithm in LP_ALGORITHMS else {})
         async with self._lock:
-            info = await asyncio.to_thread(
+            solve = asyncio.ensure_future(asyncio.to_thread(
                 self._broker.reoptimize, config.algorithm,
-                precommit=self._validator, **kwargs)
+                precommit=self._validator, **kwargs))
+            try:
+                info = await asyncio.shield(solve)
+            except asyncio.CancelledError:
+                # A thread cannot be interrupted: keep the lock until the
+                # solve has finished with the broker.
+                await asyncio.wait({solve})
+                raise
         if info.get("committed"):
             self.runs += 1
             self.migrations += int(info.get("migrations", 0))

@@ -108,6 +108,35 @@ class TestBrokerBatch:
         assert seq_drops == batch_drops > 0
         assert np.array_equal(seq_deliv, batch_deliv)
 
+    @pytest.mark.parametrize("capacity", [3, 256])
+    def test_block_counts_equal_per_event_publishes(self, problem, capacity):
+        # Each event keeps its own sentAt and id and gets its own counts;
+        # a small queue makes drops land on particular events.
+        pts = event_batch(problem, 120, seed=5)
+
+        def published(publish):
+            broker = LiveBroker(problem, queue_capacity=capacity, seed=0)
+            for j in range(30):
+                broker.subscribe(j)
+            counts = publish(broker)
+            queued = [[(e.point.tolist(), e.sent_at, e.event_id, e.tail())
+                       for e in drain(broker.queue(j))] for j in range(30)]
+            return counts, queued, broker.drops.copy(), broker.stats()
+
+        one_by_one = published(lambda b: [
+            b.publish(p, sent_at=float(i), event_id=f"e{i}")
+            for i, p in enumerate(pts)])
+        block = published(lambda b: b.publish_block(
+            [b.event_point(p) for p in pts],
+            [float(i) for i in range(len(pts))],
+            [f"e{i}" for i in range(len(pts))]))
+        assert block[0] == one_by_one[0]
+        assert block[1] == one_by_one[1]
+        assert np.array_equal(block[2], one_by_one[2])
+        assert block[3] == one_by_one[3]
+        if capacity == 3:
+            assert sum(c["dropped"] for c in block[0]) > 0
+
 
 def serve_config(**overrides):
     defaults = dict(port=0, reopt_threshold=10**9)

@@ -58,6 +58,22 @@ class TestDeliveryQueue:
         q.offer("c")
         assert woken == [q, q]
 
+    def test_offer_many_fills_then_drops_like_single_offers(self):
+        grouped = DeliveryQueue(subscriber=1, capacity=4)
+        single = DeliveryQueue(subscriber=1, capacity=4)
+        woken = []
+        grouped.bind(woken.append)
+        for items in (["a", "b"], [], ["c", "d", "e"], ["f"]):
+            taken = grouped.offer_many(items)
+            assert taken == sum(single.offer(item) for item in items)
+        assert woken == [grouped]     # one wake for the first offer
+        for attr in ("enqueued", "dropped", "peak"):
+            assert getattr(grouped, attr) == getattr(single, attr)
+        assert grouped.take(8) == single.take(8) == ["a", "b", "c", "d"]
+        grouped.close()
+        assert grouped.offer_many(["x", "y"]) == 0
+        assert grouped.dropped == 4
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             DeliveryQueue(subscriber=0, capacity=0)

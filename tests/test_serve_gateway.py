@@ -367,6 +367,39 @@ class TestLifecycle:
 
         asyncio.run(body())
 
+    def test_stop_finishes_unsubscribes_queued_on_churn_lock(self, problem):
+        loop_errors = []
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: loop_errors.append(context))
+            daemon = ServeDaemon(problem, serve_config())
+            await daemon.start()
+            clients = [await ServeClient.connect("127.0.0.1", daemon.port)
+                       for _ in range(20)]
+            for j, client in enumerate(clients):
+                await client.subscribe(j)
+            # A stand-in re-optimization holds churn_lock while every
+            # client drops, and lets go 50 ms into stop().
+            await daemon.churn_lock.acquire()
+            for client in clients:
+                await client.close()
+            for _ in range(100):
+                if all(conn.pump.done() for conn in daemon._connections):
+                    break  # every teardown has started
+                await asyncio.sleep(0.01)
+            loop.call_later(0.05, daemon.churn_lock.release)
+            await daemon.stop()
+            return daemon
+
+        daemon = asyncio.run(body())
+        assert daemon.stats()["active_subscribers"] == 0
+        assert daemon.broker.unsubscribes == 20
+        assert not daemon._connections
+        # Nothing was left for the loop's shutdown to cancel.
+        assert loop_errors == []
+
     def test_unsubscribe_stops_delivery(self, problem):
         async def body(daemon):
             async with await ServeClient.connect(

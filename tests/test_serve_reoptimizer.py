@@ -1,6 +1,8 @@
 """Reoptimizer tests: churn triggering, invariant gating, veto behaviour."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -145,5 +147,33 @@ class TestInvariantGate:
                     assert summary["missed"] == 0
             finally:
                 await daemon.stop()
+
+        run(body())
+
+
+class TestStop:
+    def test_cancelled_run_holds_the_lock_until_its_solve_ends(self, problem):
+        # A worker thread cannot be interrupted: until its solve returns,
+        # nothing else may take the churn lock and mutate the broker.
+        solving = threading.Event()
+        solved = threading.Event()
+
+        def slow_reoptimize(*_args, **_kwargs):
+            solving.set()
+            time.sleep(0.2)
+            solved.set()
+            return {"committed": False, "active": 0}
+
+        async def body():
+            broker, reopt = make_reoptimizer(problem)
+            broker.reoptimize = slow_reoptimize
+            task = asyncio.ensure_future(reopt.reoptimize_now())
+            while not solving.is_set():
+                await asyncio.sleep(0.005)
+            task.cancel()
+            await asyncio.wait({task}, timeout=5.0)
+            assert task.cancelled()
+            assert solved.is_set()
+            assert not reopt._lock.locked()
 
         run(body())
