@@ -77,7 +77,7 @@ class _Connection:
     """Per-connection state: owned subscribers and their delivery pump."""
 
     __slots__ = ("writer", "write_lock", "subscribers", "conn_id", "ready",
-                 "wake", "pump", "handler", "departure")
+                 "wake", "pump")
 
     def __init__(self, writer: asyncio.StreamWriter, conn_id: int):
         self.writer = writer
@@ -91,10 +91,6 @@ class _Connection:
         self.ready: dict[int, DeliveryQueue] = {}
         self.wake = asyncio.Event()
         self.pump = asyncio.get_running_loop().create_task(self.deliver())
-        #: The task serving this connection (the one creating it), and
-        #: the one unsubscribing its subscribers at teardown.
-        self.handler = asyncio.current_task()
-        self.departure: asyncio.Task | None = None
 
     def mark_ready(self, queue: DeliveryQueue) -> None:
         """The ``on_ready`` hook of every queue this connection owns."""
@@ -153,6 +149,8 @@ class ServeDaemon:
             churn_lock=self.churn_lock)
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
+        #: The connection handler tasks (see :meth:`_accept`).
+        self._handlers: set[asyncio.Task] = set()
         #: Keyed by ``(conn_id, key)``: idempotency replay is scoped to
         #: the connection that issued the key, so one client's key can
         #: never replay another client's cached response (and a
@@ -179,7 +177,7 @@ class ServeDaemon:
             # import behind it.
             await asyncio.to_thread(fastlp.load_backend)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
+            self._accept, self.config.host, self.config.port,
             limit=protocol.MAX_FRAME_BYTES)
         self.reoptimizer.start()
 
@@ -187,27 +185,28 @@ class ServeDaemon:
         """Stop accepting and the reoptimizer, then drop every connection.
 
         Every listed connection's subscribers are unsubscribed here,
-        including those of a teardown still queued on ``churn_lock``,
-        whose wait for the lock is then cancelled.  Every connection
-        handler is awaited, so no unsubscribe is lost to the loop
-        shutting down.
+        including those of a teardown still queued on ``churn_lock``.
+        Each socket is then aborted, not closed: a client that has
+        stopped reading would never let a close drain.  Its handler,
+        left with nothing to do, is cancelled and awaited, so nothing
+        is left for the loop's shutdown to cancel.
         """
         await self.reoptimizer.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        handlers = []
+        if self._server is None:
+            return
+        self._server.close()
         for conn in list(self._connections):
             # No lock needed: the reoptimizer has stopped, and nothing
             # else can run on the loop meanwhile.
             self._drop_subscribers(conn)
-            conn.writer.close()
-            if conn.departure is not None:
-                conn.departure.cancel()  # nothing left for it to do
-            if conn.handler is not None:
-                handlers.append(conn.handler)
+            conn.writer.transport.abort()
+        handlers = list(self._handlers)
+        for handler in handlers:
+            handler.cancel()
         await asyncio.gather(*handlers, return_exceptions=True)
+        # Last: from Python 3.12.1 on, this waits for every connection.
+        await self._server.wait_closed()
+        self._server = None
 
     async def run(self, run_for: float | None = None) -> None:
         """Serve until cancelled (or for ``run_for`` seconds), then stop."""
@@ -223,6 +222,16 @@ class ServeDaemon:
             await self.stop()
 
     # -- connection handling -------------------------------------------------
+
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        # A plain callback starting the handler task itself: stop()
+        # cancels handlers, and on Python 3.11 a cancelled handler that
+        # start_server launched is reported as an unhandled error.
+        handler = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer))
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -256,13 +265,13 @@ class ServeDaemon:
                       conn: _Connection) -> list[bytes]:
         """Answer one read turn's frames, in order; the encoded replies.
 
-        Consecutive plain publishes (see :meth:`_plain_point`) form a
-        run, routed as one block when any other frame or the end of the
-        turn closes it.  Every other frame is dispatched on its own, in
-        its place.
+        Consecutive key-less publishes form a run, answered by
+        :meth:`_publish_run` when any other frame or the end of the turn
+        closes it.  Every other frame is dispatched on its own, in its
+        place.
         """
         replies: list[bytes] = []
-        run: list[tuple[dict[str, Any], np.ndarray]] = []
+        run: list[dict[str, Any]] = []
         for line in lines:
             try:
                 request = protocol.decode_frame(line)
@@ -270,13 +279,12 @@ class ServeDaemon:
                 self.request_errors += 1
                 response = protocol.error_reply({}, exc.code, str(exc))
             else:
-                point = self._plain_point(request)
-                if point is not None:
-                    self.requests += 1
-                    run.append((request, point))
+                if (request.get("op") == "publish"
+                        and request.get("key") is None):
+                    run.append(request)
                     continue
                 response = None
-            replies += self._publish_run(run)
+            replies += await self._publish_run(run, conn)
             run = []
             if response is None:
                 if (replies and self.churn_lock.locked()
@@ -286,45 +294,38 @@ class ServeDaemon:
                     replies = []
                 response = await self._dispatch(request, conn)
             replies.append(protocol.encode_frame(response))
-        return replies + self._publish_run(run)
+        return replies + await self._publish_run(run, conn)
 
     def _plain_point(self, request: dict[str, Any]) -> np.ndarray | None:
-        """The event of a key-less publish that passes validation, else None.
-
-        Only such frames join a block; any other frame is dispatched,
-        where a failing check gets its error reply.
-        """
-        if request.get("op") != "publish" or request.get("key") is not None:
-            return None
+        """The event of a publish that passes validation, else None."""
         try:
             _sent_at(request)
             return self.broker.event_point(_publish_point(request))
         except ValueError:
             return None
 
-    def _publish_run(self, run: list[tuple[dict[str, Any], np.ndarray]]
-                     ) -> list[bytes]:
-        """Route a run of plain publishes as one block; their replies.
+    async def _publish_run(self, run: list[dict[str, Any]],
+                           conn: _Connection) -> list[bytes]:
+        """Answer a run of key-less publishes, in order; their replies.
 
-        A run of one is an ordinary ``publish`` call, so the broker's
-        ``publish`` still covers (and per-layer timings still see) every
-        frame that arrives alone.
+        A run of two or more that all pass validation is routed as one
+        block, each frame still answered with its own counts.  Otherwise
+        each frame is dispatched on its own, so an invalid one gets its
+        error reply in its place.  That includes a lone frame, which
+        ``LiveBroker.publish`` thus still times in perfbench's per-layer
+        trace, until that trace wraps ``publish_block`` (ROADMAP item 7).
         """
-        if not run:
-            return []
-        requests = [request for request, _ in run]
-        if len(run) == 1:
-            [(request, point)] = run
-            counts = [self.broker.publish(point,
-                                          sent_at=request.get("sentAt"),
-                                          event_id=request.get("eventId"))]
-        else:
-            counts = self.broker.publish_block(
-                [point for _, point in run],
-                [request.get("sentAt") for request in requests],
-                [request.get("eventId") for request in requests])
-        return [protocol.encode_frame(protocol.reply(request, **summary))
-                for request, summary in zip(requests, counts)]
+        if len(run) > 1:
+            points = [self._plain_point(request) for request in run]
+            if all(point is not None for point in points):
+                self.requests += len(run)
+                counts = self.broker.publish_block(
+                    points, [request.get("sentAt") for request in run],
+                    [request.get("eventId") for request in run])
+                return [protocol.encode_frame(protocol.reply(request, **c))
+                        for request, c in zip(run, counts)]
+        return [protocol.encode_frame(await self._dispatch(request, conn))
+                for request in run]
 
     async def _send(self, conn: _Connection, frames: list[bytes]) -> None:
         async with conn.write_lock:
@@ -334,22 +335,13 @@ class ServeDaemon:
         """Auto-unsubscribe a closing connection's subscribers (churn)."""
         conn.pump.cancel()
         if conn.subscribers:
-            # A task of its own, so that stop() can cancel the wait for
-            # the lock without cancelling this handler.
-            departure = conn.departure = asyncio.ensure_future(
-                self._depart(conn))
-            await asyncio.wait({departure})
-            if not departure.cancelled():
-                departure.result()
+            async with self.churn_lock:
+                self._drop_subscribers(conn)
         try:
             conn.writer.close()
             await conn.writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
-
-    async def _depart(self, conn: _Connection) -> None:
-        async with self.churn_lock:
-            self._drop_subscribers(conn)
 
     def _drop_subscribers(self, conn: _Connection) -> None:
         for j in list(conn.subscribers):

@@ -146,46 +146,56 @@ class FrameReader:
     waiting only until there is at least one.  At the end of the stream
     a last line without its newline is returned as a frame of its own,
     so a truncated frame still gets decoded (and rejected).  A line over
-    :data:`MAX_FRAME_BYTES` ends the stream: the frames before it are
-    returned and :attr:`overrun` is set.
+    :data:`MAX_FRAME_BYTES` ends the stream: the read that meets it
+    returns no frames and sets :attr:`overrun` (the frames before it came
+    back from earlier reads).
     """
 
     __slots__ = ("_reader", "_rest", "done", "overrun")
 
     def __init__(self, reader: asyncio.StreamReader):
         self._reader = reader
-        self._rest = b""
+        self._rest = bytearray()  #: the line still waiting for its newline
         self.done = False      #: the stream ended or overran
         self.overrun = False   #: a line exceeded MAX_FRAME_BYTES
 
     async def read(self) -> list[bytes]:
         """The next frames, oldest first; ``[]`` only at the end.
 
-        Call it only while :attr:`done` is false.
+        Call it only while :attr:`done` is false.  A read's work is
+        linear in its new bytes: a line spread over many reads is joined
+        once, when its newline arrives.
         """
         while True:
             chunk = await self._reader.read(READ_BYTES)
             if not chunk:
                 self.done = True
-                rest, self._rest = self._rest, b""
+                rest = bytes(self._rest)
+                self._rest.clear()
                 return [rest] if rest else []
-            lines = (self._rest + chunk).split(b"\n")
-            self._rest = lines.pop()
+            end = chunk.rfind(b"\n")
+            if end < 0:
+                self._rest += chunk
+                if len(self._rest) > MAX_FRAME_BYTES:
+                    return self._overran()
+                continue
+            lines = chunk[:end].split(b"\n")
+            if self._rest:
+                self._rest += lines[0]
+                lines[0] = bytes(self._rest)
+            self._rest = bytearray(chunk[end + 1:])
             # Only the first line can be too long: the others lie within
             # one chunk, and READ_BYTES < MAX_FRAME_BYTES.
-            if lines and len(lines[0]) > MAX_FRAME_BYTES:
-                return self._overran([])
-            if len(self._rest) > MAX_FRAME_BYTES:
-                return self._overran(lines)
-            if lines:
-                return lines
+            if len(lines[0]) > MAX_FRAME_BYTES:
+                return self._overran()
+            return lines
 
-    def _overran(self, frames: list[bytes]) -> list[bytes]:
+    def _overran(self) -> list[bytes]:
         # The rest of the long line may still be on the wire, so framing
         # is lost: nothing after it is read.
         self.done = self.overrun = True
-        self._rest = b""
-        return frames
+        self._rest.clear()
+        return []
 
 
 async def write_frame(writer: asyncio.StreamWriter,

@@ -118,6 +118,9 @@ class Reoptimizer:
                 # A thread cannot be interrupted: keep the lock until the
                 # solve has finished with the broker.
                 await asyncio.wait({solve})
+                if not solve.cancelled() and solve.exception() is not None:
+                    logger.error("re-optimization failed while stopping",
+                                 exc_info=solve.exception())
                 raise
         if info.get("committed"):
             self.runs += 1

@@ -6,6 +6,7 @@ port and talks to it over TCP — the same path production clients use.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -399,6 +400,37 @@ class TestLifecycle:
         assert not daemon._connections
         # Nothing was left for the loop's shutdown to cancel.
         assert loop_errors == []
+
+    def test_stop_returns_while_a_subscriber_has_stopped_reading(
+            self, problem):
+        async def body(daemon):
+            # A subscriber connection with a small receive window that
+            # reads its subscribe reply and then nothing more.
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                sock, ("127.0.0.1", daemon.port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            writer.write(encode_frame({"op": "subscribe", "subscriber": 0}))
+            assert decode_frame(await reader.readline())["ok"]
+            [conn] = daemon._connections
+            inside = ((problem.subscriptions.lo[0]
+                       + problem.subscriptions.hi[0]) / 2.0).tolist()
+            async with await ServeClient.connect(
+                    "127.0.0.1", daemon.port) as publisher:
+                # Publish until the daemon holds bytes it cannot send.
+                for _ in range(200):
+                    await publisher.publish_batch([inside] * 256)
+                    if conn.writer.transport.get_write_buffer_size():
+                        break
+                assert conn.writer.transport.get_write_buffer_size()
+                await asyncio.wait_for(daemon.stop(), timeout=5.0)
+            assert daemon.stats()["active_subscribers"] == 0
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_daemon(problem, body))
 
     def test_unsubscribe_stops_delivery(self, problem):
         async def body(daemon):

@@ -177,3 +177,26 @@ class TestStop:
             assert not reopt._lock.locked()
 
         run(body())
+
+    def test_a_solve_failing_after_cancel_is_logged(self, problem, caplog):
+        solving = threading.Event()
+
+        def failing_reoptimize(*_args, **_kwargs):
+            solving.set()
+            time.sleep(0.05)
+            raise RuntimeError("solver gave up")
+
+        async def body():
+            broker, reopt = make_reoptimizer(problem)
+            broker.reoptimize = failing_reoptimize
+            task = asyncio.ensure_future(reopt.reoptimize_now())
+            while not solving.is_set():
+                await asyncio.sleep(0.005)
+            task.cancel()
+            await asyncio.wait({task}, timeout=5.0)
+            assert task.cancelled()
+
+        with caplog.at_level("ERROR", logger="repro.serve.reoptimizer"):
+            run(body())
+        [record] = caplog.records
+        assert record.exc_info[1].args == ("solver gave up",)
