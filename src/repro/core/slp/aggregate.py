@@ -48,7 +48,7 @@ import numpy as np
 from ...geometry import RectSet
 from ...geometry.clustering import kmeans
 from ...perf.profiler import span
-from .assign_flow import AssignmentOutcome, _augment, _CovererCSR
+from .assign_flow import AssignmentOutcome, _allowed_targets, repair_loads
 from .filtergen import _joint_features
 from .sampling import (
     FilterAssignConfig,
@@ -273,77 +273,19 @@ def _repair_members(view: SLPView, filters: list[RectSet],
     """Exact member-level load repair after expansion.
 
     Group assignment packs indivisible groups, so a target can end up
-    over its member-unit cap.  This evicts the overflow and re-routes it
-    over member-level coverage with augmenting paths, escalating the lbf
-    from ``beta`` to ``beta_max`` — the same machinery (and guarantees)
-    as the multilevel global rebalance.
+    over its member-unit cap.  This is :func:`repair_loads` over
+    member-level coverage (an uncovered member may use its feasible
+    targets): the routine, and the guarantees, of the multilevel global
+    rebalance.
     """
-    m = view.num_subscribers
-    num_targets = view.num_targets
-    kappas = view.kappas_effective
-
-    def caps_at(b: float) -> np.ndarray:
-        return np.maximum(np.floor(b * kappas * m), 0).astype(np.int64)
-
-    betabar = view.beta
-    hard_caps = caps_at(view.beta_max)
-    loads = np.bincount(member_targets, minlength=num_targets)
-    if (loads <= hard_caps).all():
+    repaired = repair_loads(
+        member_targets,
+        lambda: _allowed_targets(view.coverage(filters), view.feasible)[0],
+        view.kappas_effective, view.beta, view.beta_max)
+    if repaired is None:
         info["repaired"] = 0
         return member_targets
-
-    coverage = view.coverage(filters)
-    coverers: list[np.ndarray] = []
-    for j in range(m):
-        options = np.flatnonzero(coverage[:, j])
-        if len(options) == 0:
-            options = np.flatnonzero(view.feasible[:, j])
-        if len(options) == 0:
-            options = np.arange(num_targets)
-        coverers.append(options)
-
-    assigned = member_targets.copy()
-    subs_of: list[set[int]] = [set() for _ in range(num_targets)]
-    stranded: list[int] = []
-    loads = np.zeros(num_targets, dtype=np.int64)
-    for j in range(m):
-        target = int(assigned[j])
-        if loads[target] < hard_caps[target]:
-            loads[target] += 1
-            subs_of[target].add(j)
-        else:
-            assigned[j] = -1
-            stranded.append(j)
-
-    caps = caps_at(betabar)
-    remaining = stranded
-    csr = _CovererCSR(coverers)
-    while remaining:
-        still: list[int] = []
-        saturated = np.zeros(num_targets, dtype=bool)
-        for j in remaining:
-            if not _augment(j, csr, assigned, loads, caps, subs_of,
-                            num_targets, saturated=saturated):
-                still.append(j)
-        if not still:
-            remaining = still
-            break
-        if betabar >= view.beta_max:
-            remaining = still
-            break
-        betabar = min(betabar * 1.05, view.beta_max)
-        caps = caps_at(betabar)
-        remaining = still
-
-    for j in remaining:  # best effort: least relative load
-        options = coverers[j]
-        relative = loads[options] / np.maximum(kappas[options], 1e-12)
-        pick = int(options[relative.argmin()])
-        assigned[j] = pick
-        loads[pick] += 1
-
-    info["repaired"] = len(stranded)
-    info["repair_unrouted"] = len(remaining)
+    assigned, info["repaired"], info["repair_unrouted"] = repaired
     return assigned
 
 

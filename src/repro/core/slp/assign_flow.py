@@ -13,12 +13,16 @@ seed flow is then completed to a maximum flow with standard augmenting
 paths.  Augmentation only reshuffles the minimum necessary, so the final
 filters (rebuilt from the assignment by the adjustment step) stay tight.
 :func:`assign_subscriptions_maxflow` keeps the plain Dinic variant for
-the ablation benchmark.
+the ablation benchmark.  :func:`repair_loads` runs the same
+augment-and-escalate loop to bring an existing assignment within its
+caps (the multi-level global rebalance and the member repair after
+aggregation).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -29,7 +33,8 @@ from ...geometry import RectSet
 from .view import SLPView
 
 __all__ = ["AssignmentOutcome", "assign_subscriptions",
-           "assign_subscriptions_maxflow", "assign_subscriptions_weighted"]
+           "assign_subscriptions_maxflow", "assign_subscriptions_weighted",
+           "repair_loads"]
 
 
 @dataclass
@@ -136,9 +141,29 @@ def _locality_pick(state: _SlotState, options: np.ndarray,
     return int(options[ranked[0]])
 
 
-def _capacities(view: SLPView, betabar: float) -> np.ndarray:
-    return np.floor(betabar * view.kappas_effective
-                    * view.num_subscribers).astype(int)
+#: Factor by which a stuck assignment raises the load-balance factor.
+ESCALATION_STEP = 1.05
+
+
+def _capacities(kappas: np.ndarray, total: float,
+                betabar: float) -> np.ndarray:
+    """Per-target caps ``floor(betabar * kappa_i * total)``."""
+    return np.floor(betabar * kappas * total).astype(np.int64)
+
+
+def _allowed_targets(covered: np.ndarray, feasible: np.ndarray,
+                     ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each subscriber's allowed targets, and the subscribers nobody covers.
+
+    A subscriber may use the targets that cover it; one no target covers
+    (possible after a fallback) may use any latency-feasible target, or
+    any target as a last resort.  ``covered`` is opened in place.
+    """
+    uncoverable = np.flatnonzero(~covered.any(axis=0))
+    for j in uncoverable:
+        column = feasible[:, j]
+        covered[:, j] = column if column.any() else True
+    return _coverer_lists(covered), uncoverable
 
 
 def _coverer_lists(mask: np.ndarray) -> list[np.ndarray]:
@@ -296,31 +321,111 @@ def _augment(j: int, csr: _CovererCSR, assigned: np.ndarray,
     return True
 
 
-def assign_subscriptions(view: SLPView, filters: list[RectSet],
-                         escalation_step: float = 1.05) -> AssignmentOutcome:
+def _route_stranded(stranded: list[int], csr: _CovererCSR,
+                    assigned: np.ndarray, loads: np.ndarray,
+                    subs_of: list[set[int]], kappas: np.ndarray,
+                    total: float, betabar: float, beta_max: float,
+                    ) -> tuple[list[int], np.ndarray, float, int]:
+    """Augment every stranded subscriber, escalating the lbf when stuck.
+
+    Within one round the caps are fixed, so each failed search proves its
+    explored component saturated and later searches confined to it are
+    skipped (``saturated`` resets when the lbf escalates).  Returns the
+    subscribers still unrouted at ``beta_max``, the final caps and lbf,
+    and the number of escalations.
+    """
+    num_targets = len(loads)
+    caps = _capacities(kappas, total, betabar)
+    escalations = 0
+    remaining = stranded
+    while remaining:
+        still: list[int] = []
+        saturated = np.zeros(num_targets, dtype=bool)
+        for j in remaining:
+            if not _augment(j, csr, assigned, loads, caps, subs_of,
+                            num_targets, saturated=saturated):
+                still.append(j)
+        remaining = still
+        if not still or betabar >= beta_max:
+            break
+        betabar = min(betabar * ESCALATION_STEP, beta_max)
+        caps = _capacities(kappas, total, betabar)
+        escalations += 1
+    return remaining, caps, betabar, escalations
+
+
+def _place_best_effort(unrouted: Iterable[int],
+                       options_of: Sequence[np.ndarray],
+                       assigned: np.ndarray, loads: np.ndarray,
+                       kappas: np.ndarray,
+                       weights: np.ndarray | None = None) -> None:
+    """Put each unrouted subscriber on its least relatively loaded option.
+
+    A subscriber without options may use any target.
+    """
+    for j in unrouted:
+        options = options_of[j]
+        if len(options) == 0:
+            options = np.arange(len(loads))
+        relative = loads[options] / np.maximum(kappas[options], 1e-12)
+        pick = int(options[relative.argmin()])
+        assigned[j] = pick
+        loads[pick] += 1 if weights is None else weights[j]
+
+
+def repair_loads(target_of: np.ndarray,
+                 coverers: Callable[[], list[np.ndarray]],
+                 kappas: np.ndarray, beta: float, beta_max: float,
+                 ) -> tuple[np.ndarray, int, int] | None:
+    """Bring every target within its ``beta_max`` cap, moving few subscribers.
+
+    Subscribers over a target's ``beta_max`` cap are evicted in index
+    order and re-routed over ``coverers()`` (each subscriber's allowed
+    targets) with augmenting paths, escalating the lbf from ``beta`` to
+    ``beta_max`` only as needed; whoever still has no path is placed best
+    effort.  Returns the repaired assignment with the evicted and the
+    unrouted counts, or None when no target is over its cap (then
+    ``coverers`` is never called).
+    """
+    m = len(target_of)
+    num_targets = len(kappas)
+    hard_caps = _capacities(kappas, m, beta_max)
+    if (np.bincount(target_of, minlength=num_targets) <= hard_caps).all():
+        return None
+
+    assigned = target_of.copy()
+    subs_of: list[set[int]] = [set() for _ in range(num_targets)]
+    stranded: list[int] = []
+    loads = np.zeros(num_targets, dtype=np.int64)
+    for j in range(m):
+        target = int(assigned[j])
+        if loads[target] < hard_caps[target]:
+            loads[target] += 1
+            subs_of[target].add(j)
+        else:
+            assigned[j] = -1
+            stranded.append(j)
+
+    options_of = coverers()
+    unrouted, _, _, _ = _route_stranded(
+        stranded, _CovererCSR(options_of), assigned, loads, subs_of,
+        kappas, m, beta, beta_max)
+    _place_best_effort(unrouted, options_of, assigned, loads, kappas)
+    return assigned, len(stranded), len(unrouted)
+
+
+def assign_subscriptions(view: SLPView,
+                         filters: list[RectSet]) -> AssignmentOutcome:
     """Locality-seeded maximum-flow assignment with lbf escalation."""
     m = view.num_subscribers
+    kappas = view.kappas_effective
     cost = _coverage_costs(view, filters)
-    covered = np.isfinite(cost)
+    # An uncoverable column keeps cost inf on its fallback targets: only
+    # its own column is ever ranked, and there every option ties.
+    coverers, uncoverable = _allowed_targets(np.isfinite(cost), view.feasible)
 
-    uncoverable = np.flatnonzero(~covered.any(axis=0))
-    for j in uncoverable:
-        # No covering target (possible after a fallback): offer every
-        # latency-feasible target, or any target as a last resort, at a
-        # cost that keeps these edges strictly last-choice.
-        feasible_targets = np.flatnonzero(view.feasible[:, j])
-        if len(feasible_targets) == 0:
-            feasible_targets = np.arange(view.num_targets)
-        cost[feasible_targets, j] = np.nanmax(
-            np.where(np.isfinite(cost), cost, np.nan)) + 1.0 \
-            if np.isfinite(cost).any() else 1.0
-        covered[feasible_targets, j] = True
-
-    coverers = _coverer_lists(covered)
-
-    betabar = view.beta
-    caps = _capacities(view, betabar)
-    loads = np.zeros(view.num_targets, dtype=int)
+    caps = _capacities(kappas, m, view.beta)
+    loads = np.zeros(view.num_targets, dtype=np.int64)
     assigned = np.full(m, -1, dtype=int)
     subs_of: list[set[int]] = [set() for _ in range(view.num_targets)]
 
@@ -339,7 +444,7 @@ def assign_subscriptions(view: SLPView, filters: list[RectSet],
             sub_lo = view.subscriptions.lo[j]
             sub_hi = view.subscriptions.hi[j]
             pick = _locality_pick(state, options[open_mask], sub_lo, sub_hi,
-                                  loads, view.kappas_effective, cost[:, j])
+                                  loads, kappas, cost[:, j])
             assigned[j] = pick
             subs_of[pick].add(int(j))
             loads[pick] += 1
@@ -348,29 +453,10 @@ def assign_subscriptions(view: SLPView, filters: list[RectSet],
             stranded.append(int(j))
 
     # Phase 2: complete to a maximum flow; escalate the lbf when stuck.
-    # Within one round the caps are fixed, so each failed search proves
-    # its explored component saturated and later searches confined to it
-    # are skipped (``saturated`` resets when the lbf escalates).
-    escalations = 0
-    remaining = stranded
     csr = _CovererCSR(coverers, spare=view.num_targets)
-    while remaining:
-        still: list[int] = []
-        saturated = np.zeros(view.num_targets, dtype=bool)
-        for j in remaining:
-            if not _augment(j, csr, assigned, loads, caps, subs_of,
-                            view.num_targets, saturated=saturated):
-                still.append(j)
-        if not still:
-            remaining = still
-            break
-        if betabar >= view.beta_max:
-            remaining = still
-            break
-        betabar = min(betabar * escalation_step, view.beta_max)
-        caps = _capacities(view, betabar)
-        escalations += 1
-        remaining = still
+    remaining, caps, betabar, escalations = _route_stranded(
+        stranded, csr, assigned, loads, subs_of, kappas, m,
+        view.beta, view.beta_max)
 
     # Widening pass: coverage edges are a preference, not a hard
     # constraint — the final filters are rebuilt from the assignment, so a
@@ -395,61 +481,40 @@ def assign_subscriptions(view: SLPView, filters: list[RectSet],
         remaining = widened
 
     # Best-effort completion for anyone max-flow could not route.
-    feasible = not remaining and len(uncoverable) == 0
-    unrouted = np.array(remaining, dtype=int)
-    for j in remaining:
-        options = coverers[j]
-        relative = loads[options] / np.maximum(
-            view.kappas_effective[options], 1e-12)
-        pick = int(options[relative.argmin()])
-        assigned[j] = pick
-        loads[pick] += 1
+    _place_best_effort(remaining, coverers, assigned, loads, kappas)
 
     return AssignmentOutcome(
         target_of=assigned,
         achieved_beta=betabar,
-        feasible=feasible,
+        feasible=not remaining and len(uncoverable) == 0,
         info={
             "stranded_after_seed": len(stranded),
             "unrouted": len(remaining),
             "uncoverable": len(uncoverable),
             "escalations": escalations,
         },
-        unrouted_subscribers=unrouted,
+        unrouted_subscribers=np.array(remaining, dtype=int),
     )
 
 
-def assign_subscriptions_maxflow(view: SLPView, filters: list[RectSet],
-                                 escalation_step: float = 1.05) -> AssignmentOutcome:
+def assign_subscriptions_maxflow(view: SLPView,
+                                 filters: list[RectSet]) -> AssignmentOutcome:
     """Plain Dinic max-flow assignment (ablation baseline; no locality)."""
-    coverage = view.coverage(filters)
-    candidates = [np.flatnonzero(coverage[:, j])
-                  for j in range(view.num_subscribers)]
-    uncoverable = [j for j, c in enumerate(candidates) if len(c) == 0]
-    for j in uncoverable:
-        feasible_targets = np.flatnonzero(view.feasible[:, j])
-        candidates[j] = (feasible_targets if len(feasible_targets)
-                         else np.arange(view.num_targets))
+    candidates, uncoverable = _allowed_targets(view.coverage(filters),
+                                               view.feasible)
 
     flow = assign_by_flow(candidates, view.kappas_effective, view.beta,
-                          view.beta_max, escalation_step=escalation_step)
+                          view.beta_max, escalation_step=ESCALATION_STEP)
     target_of = flow.assignment.copy()
     unrouted = np.flatnonzero(target_of < 0)
-    if len(unrouted):
-        loads = np.bincount(target_of[target_of >= 0],
-                            minlength=view.num_targets).astype(float)
-        for j in unrouted:
-            options = candidates[j]
-            relative = loads[options] / np.maximum(
-                view.kappas_effective[options], 1e-12)
-            pick = int(options[relative.argmin()])
-            target_of[j] = pick
-            loads[pick] += 1
+    loads = np.bincount(target_of[target_of >= 0], minlength=view.num_targets)
+    _place_best_effort(unrouted, candidates, target_of, loads,
+                       view.kappas_effective)
 
     return AssignmentOutcome(
         target_of=target_of,
         achieved_beta=flow.achieved_beta,
-        feasible=flow.feasible and not uncoverable,
+        feasible=flow.feasible and len(uncoverable) == 0,
         info={
             "stranded_after_seed": int(len(unrouted)),
             "unrouted": int(len(unrouted)),
@@ -459,9 +524,8 @@ def assign_subscriptions_maxflow(view: SLPView, filters: list[RectSet],
     )
 
 
-def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
-                                  escalation_step: float = 1.05
-                                  ) -> AssignmentOutcome:
+def assign_subscriptions_weighted(view: SLPView,
+                                  filters: list[RectSet]) -> AssignmentOutcome:
     """Assignment for weighted views (super-subscriptions).
 
     Groups are indivisible, so this is bin packing rather than max-flow:
@@ -480,26 +544,12 @@ def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
     weights = view.weights.astype(np.int64)
     m = view.num_subscribers
     total = float(weights.sum())
+    kappas = view.kappas_effective
     cost = _coverage_costs(view, filters)
-    covered = np.isfinite(cost)
-
-    uncoverable = np.flatnonzero(~covered.any(axis=0))
-    for j in uncoverable:
-        feasible_targets = np.flatnonzero(view.feasible[:, j])
-        if len(feasible_targets) == 0:
-            feasible_targets = np.arange(view.num_targets)
-        cost[feasible_targets, j] = np.nanmax(
-            np.where(np.isfinite(cost), cost, np.nan)) + 1.0 \
-            if np.isfinite(cost).any() else 1.0
-        covered[feasible_targets, j] = True
-
-    coverers = _coverer_lists(covered)
-
-    def caps_at(b: float) -> np.ndarray:
-        return np.floor(b * view.kappas_effective * total).astype(np.int64)
+    coverers, uncoverable = _allowed_targets(np.isfinite(cost), view.feasible)
 
     betabar = view.beta
-    caps = caps_at(betabar)
+    caps = _capacities(kappas, total, betabar)
     loads = np.zeros(view.num_targets, dtype=np.int64)
     assigned = np.full(m, -1, dtype=int)
 
@@ -518,7 +568,7 @@ def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
             sub_lo = view.subscriptions.lo[j]
             sub_hi = view.subscriptions.hi[j]
             pick = _locality_pick(state, options[open_mask], sub_lo, sub_hi,
-                                  loads, view.kappas_effective, cost[:, j])
+                                  loads, kappas, cost[:, j])
             assigned[j] = pick
             loads[pick] += weights[j]
             state.commit(pick, sub_lo, sub_hi)
@@ -531,8 +581,8 @@ def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
     escalations = 0
     remaining = stranded
     while remaining and betabar < view.beta_max:
-        betabar = min(betabar * escalation_step, view.beta_max)
-        caps = caps_at(betabar)
+        betabar = min(betabar * ESCALATION_STEP, view.beta_max)
+        caps = _capacities(kappas, total, betabar)
         escalations += 1
         still: list[int] = []
         for j in remaining:
@@ -541,7 +591,7 @@ def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
             if open_mask.any():
                 open_options = options[open_mask]
                 relative = loads[open_options] / np.maximum(
-                    view.kappas_effective[open_options], 1e-12)
+                    kappas[open_options], 1e-12)
                 ranked = np.lexsort((relative, cost[open_options, j]))
                 pick = int(open_options[ranked[0]])
                 assigned[j] = pick
@@ -550,25 +600,17 @@ def assign_subscriptions_weighted(view: SLPView, filters: list[RectSet],
                 still.append(j)
         remaining = still
 
-    feasible = not remaining and len(uncoverable) == 0
-    unrouted = np.array(remaining, dtype=int)
-    for j in remaining:  # best effort: least relative load among coverers
-        options = coverers[j]
-        relative = loads[options] / np.maximum(
-            view.kappas_effective[options], 1e-12)
-        pick = int(options[relative.argmin()])
-        assigned[j] = pick
-        loads[pick] += weights[j]
+    _place_best_effort(remaining, coverers, assigned, loads, kappas, weights)
 
     return AssignmentOutcome(
         target_of=assigned,
         achieved_beta=betabar,
-        feasible=feasible,
+        feasible=not remaining and len(uncoverable) == 0,
         info={
             "stranded_after_seed": len(stranded),
             "unrouted": len(remaining),
             "uncoverable": len(uncoverable),
             "escalations": escalations,
         },
-        unrouted_subscribers=unrouted,
+        unrouted_subscribers=np.array(remaining, dtype=int),
     )

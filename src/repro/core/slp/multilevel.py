@@ -31,7 +31,7 @@ import numpy as np
 from ...perf.profiler import span
 from ..problem import SAProblem, SASolution, filters_from_assignment
 from .aggregate import AggregationConfig, distribute_aggregated
-from .assign_flow import _augment, _coverer_lists, _CovererCSR
+from .assign_flow import _coverer_lists, repair_loads
 from .sampling import FilterAssignConfig, assignment_outcome, filter_assign
 from .view import SLPView
 
@@ -99,76 +99,21 @@ def _global_rebalance(problem: SAProblem, assignment: np.ndarray,
     The recursion's per-level feasibility is optimistic (a subtree looks
     usable if *some* leaf under it fits the budget), so a level can route
     more subscribers into a subtree than its leaves can balance.  This
-    pass removes the excess from overloaded leaves and re-routes it over
-    the exact leaf-level feasibility with augmenting paths, escalating
-    the lbf from ``beta`` to ``beta_max`` only as needed.
+    pass is :func:`repair_loads` over the exact leaf-level feasibility:
+    it evicts the excess from overloaded leaves and re-routes it with
+    augmenting paths, escalating the lbf from ``beta`` to ``beta_max``
+    only as needed.
     """
     tree = problem.tree
-    m = problem.num_subscribers
-    kappas = problem.kappas
-    num_leaves = problem.num_leaf_brokers
-
     row_of_node = np.full(tree.num_nodes, -1)
-    row_of_node[tree.leaves] = np.arange(num_leaves)
-    leaf_row_of = row_of_node[assignment]
-
-    betabar = problem.params.beta
-    beta_max = problem.params.beta_max
-
-    def caps_at(b: float) -> np.ndarray:
-        return np.maximum(np.floor(b * kappas * m), 0).astype(int)
-
-    caps = caps_at(betabar)
-    loads = np.bincount(leaf_row_of, minlength=num_leaves)
-    if (loads <= caps_at(beta_max)).all():
+    row_of_node[tree.leaves] = np.arange(problem.num_leaf_brokers)
+    repaired = repair_loads(
+        row_of_node[assignment],
+        lambda: _coverer_lists(problem.feasible_leaf),
+        problem.kappas, problem.params.beta, problem.params.beta_max)
+    if repaired is None:
         return assignment  # nothing to repair
-
-    # Evict excess subscribers from overloaded leaves (beta_max caps).
-    assigned = leaf_row_of.copy()
-    subs_of: list[set[int]] = [set() for _ in range(num_leaves)]
-    stranded: list[int] = []
-    hard_caps = caps_at(beta_max)
-    loads = np.zeros(num_leaves, dtype=int)
-    for j in range(m):
-        row = int(assigned[j])
-        if loads[row] < hard_caps[row]:
-            loads[row] += 1
-            subs_of[row].add(j)
-        else:
-            assigned[j] = -1
-            stranded.append(j)
-
-    coverers = _coverer_lists(problem.feasible_leaf)
-    remaining = stranded
-    csr = _CovererCSR(coverers)
-    while remaining:
-        still: list[int] = []
-        saturated = np.zeros(num_leaves, dtype=bool)
-        for j in remaining:
-            if not _augment(j, csr, assigned, loads, caps, subs_of,
-                            num_leaves, saturated=saturated):
-                still.append(j)
-        if not still:
-            remaining = still
-            break
-        if betabar >= beta_max:
-            remaining = still
-            break
-        betabar = min(betabar * 1.05, beta_max)
-        caps = caps_at(betabar)
-        remaining = still
-
-    for j in remaining:  # best effort: least-loaded feasible leaf
-        options = coverers[j]
-        if len(options) == 0:
-            options = np.arange(num_leaves)
-        relative = loads[options] / np.maximum(kappas[options] * m, 1e-12)
-        pick = int(options[relative.argmin()])
-        assigned[j] = pick
-        loads[pick] += 1
-
-    info["rebalanced"] = len(stranded)
-    info["rebalance_unrouted"] = len(remaining)
+    assigned, info["rebalanced"], info["rebalance_unrouted"] = repaired
     return tree.leaves[assigned]
 
 

@@ -209,6 +209,7 @@ class LiveBroker:
         self.missed = 0          #: matched but leaf unreachable via filters
         self.subscribes = 0
         self.unsubscribes = 0
+        self.shed_on_unsubscribe = 0  #: enqueued, then cleared by unsubscribe
         self.churn_since_reopt = 0
         self._routing = self._build_routing(version=0)
 
@@ -270,7 +271,9 @@ class LiveBroker:
         if j not in self._queues:
             raise ValueError(f"subscriber {j} is not subscribed")
         self._manager.depart(j)
-        self._queues.pop(j).close()
+        queue = self._queues.pop(j)
+        self.shed_on_unsubscribe += len(queue)
+        queue.close()
         self.unsubscribes += 1
         self.churn_since_reopt += 1
         self._swap_routing()
@@ -417,6 +420,7 @@ class LiveBroker:
             "broker_entries": int(self.node_entries[1:].sum()),
             "subscribes": self.subscribes,
             "unsubscribes": self.unsubscribes,
+            "shed_on_unsubscribe": self.shed_on_unsubscribe,
             "churn_since_reopt": self.churn_since_reopt,
             "routing_version": self._routing.version,
             "queue_depth_peak": max((q.peak for q in queues), default=0),

@@ -115,6 +115,25 @@ class TestBackpressure:
         run(body())
 
 
+class TestUnsubscribeShedding:
+    def test_unsubscribe_counts_the_events_it_sheds(self, problem):
+        async def body():
+            broker = LiveBroker(problem, queue_capacity=16)
+            broker.subscribe(0)
+            point = sub_center(problem, 0)
+            for _ in range(5):
+                broker.publish(point)
+            broker.queue(0).take(2)  # the pump wrote two of them
+            queued = len(broker.queue(0))
+            assert queued == 3
+            broker.unsubscribe(0)
+            stats = broker.stats()
+            assert stats["shed_on_unsubscribe"] == queued
+            assert stats["delivered"] == 5  # still "enqueued"
+
+        run(body())
+
+
 class TestBrokerStateMachine:
     def test_subscribe_assigns_a_real_leaf(self, problem):
         async def body():

@@ -18,7 +18,8 @@ routing, so they are compared as what they are:
   subscription (subscribe to unsubscribe) the events written are
   therefore a prefix of the accepted ones, and the two runs' lists must
   be prefixes of one another; a subscription still open at the end must
-  match exactly.
+  match exactly.  For the same reason ``shed_on_unsubscribe``, the count
+  of those shed events, is left out of the compared ``stats``.
 
 The framing cases check the read turn at its edges: complete frames
 followed by an oversized one in the same write, and frames split across
@@ -156,13 +157,14 @@ async def run_sequence(problem, lines, pipelined):
     return replies, events, stats
 
 
-def without_peak(stats):
-    return {k: v for k, v in stats.items() if k != "queue_depth_peak"}
+def without_pump_timing(stats):
+    return {k: v for k, v in stats.items()
+            if k not in ("queue_depth_peak", "shed_on_unsubscribe")}
 
 
 def comparable(reply):
     if "stats" in reply:
-        reply = dict(reply, stats=without_peak(reply["stats"]))
+        reply = dict(reply, stats=without_pump_timing(reply["stats"]))
     return reply
 
 
@@ -203,7 +205,7 @@ class TestPipelinedMatchesSequential:
 
         assert [comparable(r) for r in replies] == \
             [comparable(r) for r in replies1]
-        assert without_peak(stats) == without_peak(stats1)
+        assert without_pump_timing(stats) == without_pump_timing(stats1)
         for j, spans in subscriptions(lines, replies).items():
             for start, end in spans:
                 got = delivered_in(events[j], start, end)

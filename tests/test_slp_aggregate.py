@@ -23,7 +23,9 @@ from repro.core.slp import (
     slp1,
     verify_aggregation,
 )
-from repro.core.slp.view import view_from_problem
+from repro.core.slp.aggregate import _repair_members
+from repro.core.slp.view import SLPView, view_from_problem
+from repro.geometry import RectSet
 from repro.perf.profiler import profiled
 from repro.verify import (
     corrupt_aggregation_drop,
@@ -167,3 +169,89 @@ def test_distribute_aggregated_reports_compression():
     assert dist.target_of.shape == (view.num_subscribers,)
     assert (dist.target_of >= 0).all()
     assert (dist.target_of < view.num_targets).all()
+
+
+def repair_view(beta_max=1.5, feasible_on_last=True):
+    """30 members over 3 equal targets, two clusters plus 5 outliers.
+
+    Target 0's filter covers cluster A (members 0-14), target 1's cluster
+    B (15-24), target 2's both; nobody covers the outliers (25-29).
+    Members 0-4 may not use target 2 and the outliers may not use
+    target 0 (latency); ``feasible_on_last=False`` closes target 2 to all.
+    """
+    m = 30
+    centers = np.empty((m, 2))
+    centers[:15] = 20.0 + np.arange(15)[:, None] * 0.5
+    centers[15:25] = 60.0 + np.arange(10)[:, None] * 0.5
+    centers[25:] = 90.0
+    feasible = np.ones((3, m), dtype=bool)
+    feasible[2, :5] = False
+    feasible[0, 25:] = False
+    if not feasible_on_last:
+        feasible[2] = False
+    view = SLPView(
+        subscriptions=RectSet(centers, centers + 1.0),
+        network_points=np.zeros((m, 3)),
+        feasible=feasible,
+        kappas_effective=np.full(3, 1 / 3),
+        alpha=2,
+        beta=min(1.2, beta_max),
+        beta_max=beta_max,
+    )
+    filters = [RectSet(np.array([[0.0, 0.0]]), np.array([[50.0, 50.0]])),
+               RectSet(np.array([[50.0, 50.0]]), np.array([[80.0, 80.0]])),
+               RectSet(np.array([[0.0, 0.0]]), np.array([[80.0, 80.0]]))]
+    return view, filters
+
+
+def hard_caps(view):
+    return np.floor(view.beta_max * view.kappas_effective
+                    * view.num_subscribers).astype(int)
+
+
+class TestRepairMembers:
+    """The exact member-level repair after group expansion."""
+
+    def test_noop_when_within_caps(self):
+        view, filters = repair_view()
+        members = np.arange(30) % 3
+        info = {}
+        out = _repair_members(view, filters, members, info)
+        assert np.array_equal(out, members)
+        assert info["repaired"] == 0
+
+    def test_repairs_overload_within_beta_max_caps(self):
+        view, filters = repair_view()
+        members = np.zeros(30, dtype=int)  # lbf 3 >> beta_max
+        info = {}
+        out = _repair_members(view, filters, members, info)
+        assert info["repaired"] > 0
+        assert info["repair_unrouted"] == 0
+        loads = np.bincount(out, minlength=view.num_targets)
+        assert (loads <= hard_caps(view)).all()
+        assert loads.sum() == 30
+
+    def test_moved_members_use_covering_or_feasible_targets(self):
+        view, filters = repair_view()
+        members = np.zeros(30, dtype=int)
+        out = _repair_members(view, filters, members, {})
+        coverage = view.coverage(filters)
+        moved = np.flatnonzero(out != members)
+        assert len(moved) > 0
+        for j in moved:
+            target = int(out[j])
+            if coverage[:, j].any():
+                assert coverage[target, j], f"member {j} on non-coverer"
+            else:
+                assert view.feasible[target, j], f"member {j} infeasible"
+
+    def test_tight_beta_max_completes_best_effort(self):
+        # Target 2 is closed and beta_max is 1: 30 members, 20 slots.
+        view, filters = repair_view(beta_max=1.0, feasible_on_last=False)
+        members = np.zeros(30, dtype=int)
+        info = {}
+        out = _repair_members(view, filters, members, info)
+        assert info["repair_unrouted"] > 0
+        assert info["repaired"] >= info["repair_unrouted"]
+        assert out.shape == (30,)
+        assert ((out >= 0) & (out < view.num_targets)).all()

@@ -5,7 +5,9 @@ alpha-MEB cover, greedy slot costs) became array steps; any float that
 moves in those kernels changes an assignment or a filter and fails
 here.  The one-level instance runs SLP1 unaggregated; the multilevel
 one aggregates (groups of <= 32), so the k-means splitter, FilterGen's
-super-subscriptions and the weighted greedy all take part.
+super-subscriptions and the weighted greedy all take part.  Neither
+reaches the leaf-level global rebalance, so a third, m=4,000 instance
+pins a run whose rebalance moves subscribers.
 """
 
 import importlib
@@ -45,6 +47,18 @@ def test_slp_multilevel_aggregated_digest():
     assert solution_digest(solution) == \
         "76e8279e43d083a002ea2d295efadf55d9974b8ddf67b9c6206460fdaf45be3d"
     assert total_bandwidth(solution.filters) == 14688947.699932316
+
+
+def test_slp_multilevel_global_rebalance_digest():
+    workload = generate_google_groups(
+        2, GoogleGroupsConfig(num_subscribers=4_000, num_brokers=64))
+    problem = multilevel_problem(workload, max_out_degree=8, seed=2)
+    solution = slp(problem, seed=6,
+                   aggregation=AggregationConfig(max_group_size=32))
+    assert solution.info["rebalanced"] > 0
+    assert solution_digest(solution) == \
+        "10cb167df6986985e72e727a867da99dd12e058ef4dc0bf39d10bfedc95257fd"
+    assert total_bandwidth(solution.filters) == 25145584.879826337
 
 
 @pytest.mark.parametrize("seed", (2, 5))
