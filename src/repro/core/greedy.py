@@ -39,8 +39,37 @@ from .problem import SAProblem, SASolution
 __all__ = ["online_greedy", "offline_greedy"]
 
 
+class _Step:
+    """One level of a costed walk, one entry per candidate that steps.
+
+    Per candidate: its node, the slot its rect goes into, whether that
+    slot is freshly opened or already contains the rect, and the slot's
+    grown rectangle.  ``rows`` are the stepping candidates' indices into
+    the costed candidates (None: all of them, in order).
+    """
+
+    __slots__ = ("rows", "nodes", "slot", "fresh", "contained", "lo", "hi")
+
+    def __init__(self, nodes: np.ndarray, slot: np.ndarray, fresh: np.ndarray,
+                 contained: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        self.rows: np.ndarray | None = None
+        self.nodes = nodes
+        self.slot = slot
+        self.fresh = fresh
+        self.contained = contained
+        self.lo = lo
+        self.hi = hi
+
+
 class _TreeFilterState:
-    """Incremental <= alpha rectangles per tree node, arrays-of-slots."""
+    """Incremental <= alpha rectangles per tree node, arrays-of-slots.
+
+    An unused slot holds the empty rectangle ``(inf, -inf)``, which
+    contains nothing, and volume ``-inf``, so growing it costs ``inf``
+    and only the explicit fresh-slot rule ever fills it.  ``volume``
+    keeps each used slot's volume current, so a costing reads it
+    instead of recomputing it.
+    """
 
     def __init__(self, problem: SAProblem) -> None:
         tree = problem.tree
@@ -49,7 +78,13 @@ class _TreeFilterState:
         self.alpha = alpha
         self.lo = np.full((tree.num_nodes, alpha, dim), np.inf)
         self.hi = np.full((tree.num_nodes, alpha, dim), -np.inf)
+        self.volume = np.full((tree.num_nodes, alpha), -np.inf)
         self.count = np.zeros(tree.num_nodes, dtype=int)
+        # row * alpha for each of up to num_leaves (distinct) candidates.
+        self._row_base = np.arange(tree.num_leaves) * alpha
+        # The per-level steps of the last path_costs, which commit_candidate
+        # applies; None once applied, or before any costing.
+        self._walk: list[_Step] | None = None
 
         # Ancestor chains per leaf row, padded with -1 at the top; chains
         # exclude the publisher (node 0), which filters everything trivially.
@@ -63,106 +98,125 @@ class _TreeFilterState:
             self.leaf_chains[row, :len(chain)] = chain
 
     def _slot_enlargements(self, nodes: np.ndarray, rect_lo: np.ndarray,
-                           rect_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                         np.ndarray, np.ndarray]:
+                           rect_hi: np.ndarray, rect_volume: np.ndarray
+                           ) -> tuple[np.ndarray, _Step, np.ndarray]:
         """Least-enlargement incorporation of one rect per node.
 
-        ``nodes`` is a vector of node ids; ``rect_lo``/``rect_hi`` have shape
-        ``(k, d)`` giving the rectangle to incorporate at each node.  Returns
-        ``(cost, slot, grown_lo, grown_hi, contained)`` per node, where
-        ``slot == -1`` means "open a fresh slot" and ``contained`` flags rows
-        whose rect was already inside an existing slot (no state change, so
-        ancestors are guaranteed to nest it too).
+        ``nodes`` is a vector of ``k`` node ids; ``rect_lo``/``rect_hi``
+        are the rectangle to incorporate at each node, ``(k, d)``, or one
+        ``(d,)`` rectangle for all of them, and ``rect_volume`` its
+        volume.  Returns ``(cost, step, grown_volume)``: ``step`` holds,
+        per node, the slot the rect goes into (a used slot, or the first
+        unused one when opening a fresh slot is cheaper), the grown
+        slot rectangle, and whether a used slot already contained the
+        rect (no state change, so ancestors are guaranteed to nest it
+        too); ``grown_volume`` is the grown rectangle's volume.
         """
         slot_lo = self.lo[nodes]                        # (k, alpha, d)
         slot_hi = self.hi[nodes]
-        counts = self.count[nodes]                      # (k,)
-        k, alpha, dim = slot_lo.shape
+        r_lo = rect_lo[..., None, :]
+        r_hi = rect_hi[..., None, :]
+        grown_slot_lo = np.minimum(slot_lo, r_lo)
+        grown_slot_hi = np.maximum(slot_hi, r_hi)
+        new_volume = np.multiply.reduce(grown_slot_hi - grown_slot_lo, axis=2)
+        enlargement = new_volume - self.volume[nodes]   # inf on unused slots
+        contains = (np.logical_and.reduce(slot_lo <= r_lo, axis=2)
+                    & np.logical_and.reduce(r_hi <= slot_hi, axis=2))
+        np.copyto(enlargement, 0.0, where=contains)
 
-        used = np.arange(alpha)[None, :] < counts[:, None]          # (k, alpha)
-        contains = (np.all(slot_lo <= rect_lo[:, None, :], axis=2)
-                    & np.all(rect_hi[:, None, :] <= slot_hi, axis=2)
-                    & used)
-
-        grown_slot_lo = np.minimum(slot_lo, rect_lo[:, None, :])
-        grown_slot_hi = np.maximum(slot_hi, rect_hi[:, None, :])
-        old_volume = np.where(used, np.prod(np.maximum(slot_hi - slot_lo, 0.0),
-                                            axis=2), 0.0)
-        new_volume = np.prod(grown_slot_hi - grown_slot_lo, axis=2)
-        enlargement = np.where(used, new_volume - old_volume, np.inf)
-        enlargement = np.where(contains, 0.0, enlargement)
-
-        best_slot = enlargement.argmin(axis=1)                        # (k,)
-        best_cost = enlargement[np.arange(k), best_slot]
-
-        rect_volume = np.prod(rect_hi - rect_lo, axis=1)
-        can_open = counts < alpha
-        open_better = can_open & (rect_volume < best_cost)
-        no_used_slot = counts == 0
-
-        cost = np.where(open_better | no_used_slot,
-                        np.where(can_open, rect_volume, np.inf), best_cost)
-        slot = np.where(open_better | no_used_slot, -1, best_slot)
-
-        grown_lo = np.where((slot == -1)[:, None], rect_lo,
-                            grown_slot_lo[np.arange(k), np.maximum(slot, 0)])
-        grown_hi = np.where((slot == -1)[:, None], rect_hi,
-                            grown_slot_hi[np.arange(k), np.maximum(slot, 0)])
-        # When a used slot already contains the rect, the slot does not grow.
-        contained = contains[np.arange(k), np.maximum(slot, 0)] & (slot >= 0)
-        grown_lo = np.where(contained[:, None],
-                            slot_lo[np.arange(k), np.maximum(slot, 0)], grown_lo)
-        grown_hi = np.where(contained[:, None],
-                            slot_hi[np.arange(k), np.maximum(slot, 0)], grown_hi)
-        return cost, slot, grown_lo, grown_hi, contained
+        # Rows of (k, alpha) arrays are read through flat indices
+        # ``row * alpha + slot``.
+        row_base = self._row_base[:len(nodes)]
+        slot = enlargement.argmin(axis=1)
+        cost = enlargement.ravel()[row_base + slot]
+        counts = self.count[nodes]
+        # A fresh slot is open whenever counts < alpha, and always when
+        # the node has no used slot (alpha >= 1).
+        fresh = (counts < self.alpha) & (rect_volume < cost)
+        fresh |= counts == 0
+        np.copyto(cost, rect_volume, where=fresh)
+        # The first unused slot grows from empty to exactly the rect.
+        np.copyto(slot, counts, where=fresh)
+        flat = row_base + slot
+        dim = slot_lo.shape[2]
+        step = _Step(nodes, slot, fresh, contains.ravel()[flat],
+                     grown_slot_lo.reshape(-1, dim).take(flat, axis=0),
+                     grown_slot_hi.reshape(-1, dim).take(flat, axis=0))
+        return cost, step, new_volume.ravel()[flat]
 
     def path_costs(self, leaf_rows: np.ndarray, sub_lo: np.ndarray,
                    sub_hi: np.ndarray) -> np.ndarray:
-        """Total enlargement along each candidate leaf's path for one subscription."""
-        k = len(leaf_rows)
-        total = np.zeros(k)
-        rect_lo = np.broadcast_to(sub_lo, (k, sub_lo.shape[0])).copy()
-        rect_hi = np.broadcast_to(sub_hi, (k, sub_hi.shape[0])).copy()
-        active = np.ones(k, dtype=bool)
-        for level in range(self.max_depth):
-            nodes = self.leaf_chains[leaf_rows, level]
-            step = active & (nodes >= 0)
-            if not step.any():
-                break
-            cost, _slot, grown_lo, grown_hi, contained = self._slot_enlargements(
-                nodes[step], rect_lo[step], rect_hi[step])
-            total[step] += cost
+        """Total enlargement along each candidate leaf's path for one subscription.
+
+        The walk is kept, so :meth:`commit_candidate` can apply any
+        candidate's placement without costing it again.
+        """
+        chains = self.leaf_chains[leaf_rows]
+        total, step, grown_volume = self._slot_enlargements(
+            chains[:, 0], sub_lo, sub_hi, np.multiply.reduce(sub_hi - sub_lo))
+        walk = [step]
+        rows: np.ndarray | None = None       # None: every candidate
+        for level in range(1, self.max_depth):
+            nodes = chains[:, level] if rows is None else chains[rows, level]
             # A rect already inside an existing slot changes nothing, and the
             # nesting invariant guarantees every ancestor also contains that
             # slot — stop propagating for those rows.
-            rect_lo[step] = grown_lo
-            rect_hi[step] = grown_hi
-            still = np.flatnonzero(step)
-            active[still[contained]] = False
+            keep = ~step.contained & (nodes >= 0)
+            rect_lo, rect_hi, volume = step.lo, step.hi, grown_volume
+            if not keep.all():
+                if not keep.any():
+                    break
+                rows = keep.nonzero()[0] if rows is None else rows[keep]
+                nodes = nodes[keep]
+                rect_lo, rect_hi = rect_lo[keep], rect_hi[keep]
+                volume = volume[keep]
+            cost, step, grown_volume = self._slot_enlargements(
+                nodes, rect_lo, rect_hi, volume)
+            step.rows = rows
+            walk.append(step)
+            if rows is None:
+                total += cost
+            else:
+                total[rows] += cost
+        self._walk = walk
         return total
 
-    def commit(self, leaf_row: int, sub_lo: np.ndarray, sub_hi: np.ndarray) -> None:
-        """Incorporate the subscription along the chosen leaf's path."""
-        rect_lo, rect_hi = sub_lo, sub_hi
-        for level in range(self.max_depth):
-            node = int(self.leaf_chains[leaf_row, level])
-            if node < 0:
-                break
-            _cost, slot, grown_lo, grown_hi, contained = self._slot_enlargements(
-                np.array([node]), rect_lo[None, :], rect_hi[None, :])
-            chosen = int(slot[0])
-            if chosen == -1:
-                fresh = self.count[node]
-                self.lo[node, fresh] = rect_lo
-                self.hi[node, fresh] = rect_hi
-                self.count[node] += 1
-            elif contained[0]:
-                return  # already nested here and hence everywhere above
+    def commit_candidate(self, index: int) -> None:
+        """Incorporate candidate ``index`` of the last :meth:`path_costs`.
+
+        Applies the walk that costed it, level by level from the leaf;
+        each level's slot becomes its grown rectangle, until a level
+        already contains the rect.  The walk is spent afterwards: the
+        state it was costed on has changed.
+        """
+        walk, self._walk = self._walk, None
+        if walk is None:
+            raise RuntimeError("commit_candidate needs a path_costs walk")
+        for step in walk:
+            if step.rows is None:
+                pos = index
             else:
-                self.lo[node, chosen] = np.minimum(self.lo[node, chosen], rect_lo)
-                self.hi[node, chosen] = np.maximum(self.hi[node, chosen], rect_hi)
-            rect_lo = grown_lo[0]
-            rect_hi = grown_hi[0]
+                pos = int(np.searchsorted(step.rows, index))
+                if pos == len(step.rows) or step.rows[pos] != index:
+                    return  # the chain ended below this level
+            if step.contained[pos]:
+                return  # already nested here and hence everywhere above
+            node, slot = step.nodes[pos], step.slot[pos]
+            grown_lo, grown_hi = step.lo[pos], step.hi[pos]
+            self.lo[node, slot] = grown_lo
+            self.hi[node, slot] = grown_hi
+            self.volume[node, slot] = np.multiply.reduce(
+                np.maximum(grown_hi - grown_lo, 0.0))
+            if step.fresh[pos]:
+                self.count[node] += 1
+
+    def commit(self, leaf_row: int, sub_lo: np.ndarray, sub_hi: np.ndarray) -> None:
+        """Incorporate the subscription along the chosen leaf's path.
+
+        The same walk as a costing, over the one row.
+        """
+        self.path_costs(np.array([leaf_row]), sub_lo, sub_hi)
+        self.commit_candidate(0)
 
     def load_filters(self, filters: dict[int, Filter]) -> None:
         """Reset the slot state from explicit per-node filters.
@@ -175,13 +229,18 @@ class _TreeFilterState:
         """
         self.lo.fill(np.inf)
         self.hi.fill(-np.inf)
+        self.volume.fill(-np.inf)
         self.count.fill(0)
+        self._walk = None
         for node, filt in filters.items():
             rects = filt.rects
             n = min(len(rects), self.alpha)
             if n:
                 self.lo[node, :n] = rects.lo[:n]
                 self.hi[node, :n] = rects.hi[:n]
+                self.volume[node, :n] = np.multiply.reduce(
+                    np.maximum(self.hi[node, :n] - self.lo[node, :n], 0.0),
+                    axis=1)
                 self.count[node] = n
 
     def to_filters(self, dim: int) -> dict[int, Filter]:
@@ -202,14 +261,15 @@ def _greedy_assign_one(problem: SAProblem, state: _TreeFilterState,
                        lbf_stages: tuple[float, ...],
                        population: int | None = None,
                        allowed: np.ndarray | None = None) -> tuple[int, bool]:
-    """Assign subscriber ``j``; returns (leaf_row, load_cap_respected).
+    """Assign subscriber ``j`` and grow the filters along its path.
 
-    ``population`` is the subscriber count the load caps are relative to;
-    it defaults to the full problem size (offline use) and is the current
-    active count in the dynamic manager.  ``allowed`` optionally restricts
-    the candidate leaf rows (the runtime's failover repair excludes
-    unreachable brokers); it is a hard constraint — even the best-effort
-    fallback stays inside it.
+    Returns ``(leaf_row, load_cap_respected)``; the caller accounts the
+    load.  ``population`` is the subscriber count the load caps are
+    relative to; it defaults to the full problem size (offline use) and
+    is the current active count in the dynamic manager.  ``allowed``
+    optionally restricts the candidate leaf rows (the runtime's failover
+    repair excludes unreachable brokers); it is a hard constraint — even
+    the best-effort fallback stays inside it.
     """
     m = population if population is not None else problem.num_subscribers
     if respect_latency:
@@ -227,7 +287,7 @@ def _greedy_assign_one(problem: SAProblem, state: _TreeFilterState,
     for stage, lbf in enumerate(lbf_stages):
         caps = lbf * problem.kappas * m
         open_mask = (loads + 1) <= caps + 1e-9
-        candidate_rows = np.flatnonzero(latency_ok & open_mask)
+        candidate_rows = (latency_ok & open_mask).nonzero()[0]
         if len(candidate_rows):
             break
     if not len(candidate_rows):
@@ -242,15 +302,16 @@ def _greedy_assign_one(problem: SAProblem, state: _TreeFilterState,
     sub_lo = problem.subscriptions.lo[j]
     sub_hi = problem.subscriptions.hi[j]
     costs = state.path_costs(candidate_rows, sub_lo, sub_hi)
-    best_cost = costs.min()
-    near_best = candidate_rows[costs <= best_cost + 1e-12]
+    near_best = (costs <= costs.min() + 1e-12).nonzero()[0]
     if len(near_best) > 1:
         # Tie-break: least relative load m_i / (kappa_i m).
-        relative = loads[near_best] / (problem.kappas[near_best] * m)
-        winner = int(near_best[relative.argmin()])
+        tied = candidate_rows[near_best]
+        relative = loads[tied] / (problem.kappas[tied] * m)
+        index = int(near_best[relative.argmin()])
     else:
-        winner = int(near_best[0])
-    return winner, cap_respected
+        index = int(near_best[0])
+    state.commit_candidate(index)
+    return int(candidate_rows[index]), cap_respected
 
 
 def _finish(problem: SAProblem, state: _TreeFilterState,
@@ -293,7 +354,6 @@ def online_greedy(problem: SAProblem, *, respect_latency: bool = True,
             violations += 1
         assignment_rows[j] = row
         loads[row] += 1
-        state.commit(row, problem.subscriptions.lo[j], problem.subscriptions.hi[j])
 
     name = "Gr" if respect_latency else "Gr-no-latency"
     return _finish(problem, state, assignment_rows, name, started, violations)
@@ -336,7 +396,6 @@ def offline_greedy(problem: SAProblem) -> SASolution:
         done[j] = True
         assignment_rows[j] = row
         loads[row] += 1
-        state.commit(row, problem.subscriptions.lo[j], problem.subscriptions.hi[j])
 
         if broker_open[row] and (loads[row] + 1) > desired_caps[row] + 1e-9:
             # Broker just became fully loaded: shrink candidate counts of

@@ -101,8 +101,6 @@ class DynamicPubSub:
         leaf = int(self._problem.tree.leaves[row])
         self._assignment[subscriber] = leaf
         self._loads[row] += 1
-        self._state.commit(row, self._problem.subscriptions.lo[subscriber],
-                           self._problem.subscriptions.hi[subscriber])
         return leaf
 
     def depart(self, subscriber: int) -> None:

@@ -110,11 +110,12 @@ class RoutingPlan:
         ``matcher.match_points(points)`` with the rows of inactive
         subscribers cleared, and ``delivered`` is ``match`` where the
         event also entered the subscriber's leaf, both ``(len(assignment),
-        n)``.  ``assignment`` is checked as in :meth:`check`; when no
-        subscriber is active the matcher is not called (it may be None).
+        n)``.  ``assignment`` must already have passed :meth:`check`, which
+        each plane runs once when it takes an assignment, not per block;
+        when no subscriber is active the matcher is not called (it may be
+        None).
         """
         arrived, entered = self.entries(points, alive)
-        assignment = self.check(assignment)
         inactive = assignment < 0
         if inactive.all():
             match = np.zeros((len(assignment), len(points)), dtype=bool)

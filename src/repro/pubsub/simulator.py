@@ -205,7 +205,7 @@ def simulate_dissemination(tree: BrokerTree,
         raise ValueError("chunk_size must be at least 1")
     plan = RoutingPlan(tree, filters)
     num_subscribers = len(subscriptions)
-    assignment = np.asarray(assignment, dtype=int)
+    assignment = plan.check(assignment)
     if assignment.shape != (num_subscribers,):
         raise ValueError("assignment must map every subscriber to a leaf node")
 

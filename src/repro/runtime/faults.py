@@ -145,8 +145,6 @@ class GreedyFailover:
             loads[old_row] -= 1
             loads[row] += 1
             assignment[j] = int(tree.leaves[row])
-            state.commit(row, problem.subscriptions.lo[j],
-                         problem.subscriptions.hi[j])
             migrated += 1
 
         engine.update_assignment(assignment)

@@ -157,10 +157,10 @@ class RoutingTable:
     def __init__(self, version: int, tree: BrokerTree,
                  filters: dict[int, Filter], assignment: np.ndarray):
         self.version = version
-        assignment = np.asarray(assignment, dtype=int).copy()
+        self._plan = RoutingPlan(tree, filters)
+        assignment = self._plan.check(assignment).copy()
         assignment.setflags(write=False)
         self.assignment = assignment
-        self._plan = RoutingPlan(tree, filters)
 
     def route(self, points: np.ndarray, matcher: Matcher
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

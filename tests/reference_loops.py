@@ -17,6 +17,7 @@ from repro.geometry import RectSet
 from repro.geometry.clustering import _kmeans_plus_plus
 from repro.geometry.meb import meb_of_subset
 from repro.network.tree import PUBLISHER
+from repro.pubsub.filters import Filter
 from repro.verify.invariants import (
     _LATENCY_RTOL,
     CHECK_LATENCY,
@@ -190,3 +191,208 @@ def check_latency_reference(problem: SAProblem, assignment: np.ndarray,
                 f"budget (delay {delay:.4f} vs D={problem.params.max_delay})",
                 measured=used, limit=budget))
     return worst
+
+
+class TreeFilterStateReference:
+    """The greedy filter state as two walks: ``path_costs`` costs every
+    candidate, then ``commit`` walks the winner's chain again."""
+
+    def __init__(self, problem: SAProblem) -> None:
+        tree = problem.tree
+        alpha = problem.params.alpha
+        dim = problem.event_dim
+        self.alpha = alpha
+        self.lo = np.full((tree.num_nodes, alpha, dim), np.inf)
+        self.hi = np.full((tree.num_nodes, alpha, dim), -np.inf)
+        self.count = np.zeros(tree.num_nodes, dtype=int)
+
+        # Ancestor chains per leaf row, padded with -1 at the top; chains
+        # exclude the publisher (node 0), which filters everything trivially.
+        chains = []
+        for leaf in tree.leaves:
+            path = [v for v in tree.path_to_root(int(leaf)) if v != 0]
+            chains.append(path)  # leaf first, then ancestors upward
+        self.max_depth = max(len(c) for c in chains)
+        self.leaf_chains = np.full((len(chains), self.max_depth), -1, dtype=int)
+        for row, chain in enumerate(chains):
+            self.leaf_chains[row, :len(chain)] = chain
+
+    def _slot_enlargements(self, nodes: np.ndarray, rect_lo: np.ndarray,
+                           rect_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                         np.ndarray, np.ndarray]:
+        """Least-enlargement incorporation of one rect per node.
+
+        ``nodes`` is a vector of node ids; ``rect_lo``/``rect_hi`` have shape
+        ``(k, d)`` giving the rectangle to incorporate at each node.  Returns
+        ``(cost, slot, grown_lo, grown_hi, contained)`` per node, where
+        ``slot == -1`` means "open a fresh slot" and ``contained`` flags rows
+        whose rect was already inside an existing slot (no state change, so
+        ancestors are guaranteed to nest it too).
+        """
+        slot_lo = self.lo[nodes]                        # (k, alpha, d)
+        slot_hi = self.hi[nodes]
+        counts = self.count[nodes]                      # (k,)
+        k, alpha, dim = slot_lo.shape
+
+        used = np.arange(alpha)[None, :] < counts[:, None]          # (k, alpha)
+        contains = (np.all(slot_lo <= rect_lo[:, None, :], axis=2)
+                    & np.all(rect_hi[:, None, :] <= slot_hi, axis=2)
+                    & used)
+
+        grown_slot_lo = np.minimum(slot_lo, rect_lo[:, None, :])
+        grown_slot_hi = np.maximum(slot_hi, rect_hi[:, None, :])
+        old_volume = np.where(used, np.prod(np.maximum(slot_hi - slot_lo, 0.0),
+                                            axis=2), 0.0)
+        new_volume = np.prod(grown_slot_hi - grown_slot_lo, axis=2)
+        enlargement = np.where(used, new_volume - old_volume, np.inf)
+        enlargement = np.where(contains, 0.0, enlargement)
+
+        best_slot = enlargement.argmin(axis=1)                        # (k,)
+        best_cost = enlargement[np.arange(k), best_slot]
+
+        rect_volume = np.prod(rect_hi - rect_lo, axis=1)
+        can_open = counts < alpha
+        open_better = can_open & (rect_volume < best_cost)
+        no_used_slot = counts == 0
+
+        cost = np.where(open_better | no_used_slot,
+                        np.where(can_open, rect_volume, np.inf), best_cost)
+        slot = np.where(open_better | no_used_slot, -1, best_slot)
+
+        grown_lo = np.where((slot == -1)[:, None], rect_lo,
+                            grown_slot_lo[np.arange(k), np.maximum(slot, 0)])
+        grown_hi = np.where((slot == -1)[:, None], rect_hi,
+                            grown_slot_hi[np.arange(k), np.maximum(slot, 0)])
+        # When a used slot already contains the rect, the slot does not grow.
+        contained = contains[np.arange(k), np.maximum(slot, 0)] & (slot >= 0)
+        grown_lo = np.where(contained[:, None],
+                            slot_lo[np.arange(k), np.maximum(slot, 0)], grown_lo)
+        grown_hi = np.where(contained[:, None],
+                            slot_hi[np.arange(k), np.maximum(slot, 0)], grown_hi)
+        return cost, slot, grown_lo, grown_hi, contained
+
+    def path_costs(self, leaf_rows: np.ndarray, sub_lo: np.ndarray,
+                   sub_hi: np.ndarray) -> np.ndarray:
+        """Total enlargement along each candidate leaf's path for one subscription."""
+        k = len(leaf_rows)
+        total = np.zeros(k)
+        rect_lo = np.broadcast_to(sub_lo, (k, sub_lo.shape[0])).copy()
+        rect_hi = np.broadcast_to(sub_hi, (k, sub_hi.shape[0])).copy()
+        active = np.ones(k, dtype=bool)
+        for level in range(self.max_depth):
+            nodes = self.leaf_chains[leaf_rows, level]
+            step = active & (nodes >= 0)
+            if not step.any():
+                break
+            cost, _slot, grown_lo, grown_hi, contained = self._slot_enlargements(
+                nodes[step], rect_lo[step], rect_hi[step])
+            total[step] += cost
+            # A rect already inside an existing slot changes nothing, and the
+            # nesting invariant guarantees every ancestor also contains that
+            # slot — stop propagating for those rows.
+            rect_lo[step] = grown_lo
+            rect_hi[step] = grown_hi
+            still = np.flatnonzero(step)
+            active[still[contained]] = False
+        return total
+
+    def commit(self, leaf_row: int, sub_lo: np.ndarray, sub_hi: np.ndarray) -> None:
+        """Incorporate the subscription along the chosen leaf's path."""
+        rect_lo, rect_hi = sub_lo, sub_hi
+        for level in range(self.max_depth):
+            node = int(self.leaf_chains[leaf_row, level])
+            if node < 0:
+                break
+            _cost, slot, grown_lo, grown_hi, contained = self._slot_enlargements(
+                np.array([node]), rect_lo[None, :], rect_hi[None, :])
+            chosen = int(slot[0])
+            if chosen == -1:
+                fresh = self.count[node]
+                self.lo[node, fresh] = rect_lo
+                self.hi[node, fresh] = rect_hi
+                self.count[node] += 1
+            elif contained[0]:
+                return  # already nested here and hence everywhere above
+            else:
+                self.lo[node, chosen] = np.minimum(self.lo[node, chosen], rect_lo)
+                self.hi[node, chosen] = np.maximum(self.hi[node, chosen], rect_hi)
+            rect_lo = grown_lo[0]
+            rect_hi = grown_hi[0]
+
+    def load_filters(self, filters: dict[int, Filter]) -> None:
+        """Reset the slot state from explicit per-node filters.
+
+        Used by the dynamic manager after a re-optimization: subsequent
+        online arrivals grow the optimizer's filters instead of stale
+        greedy ones.  Filters larger than ``alpha`` are truncated to their
+        first ``alpha`` rectangles (callers pass adjusted filters, which
+        respect the bound by construction).
+        """
+        self.lo.fill(np.inf)
+        self.hi.fill(-np.inf)
+        self.count.fill(0)
+        for node, filt in filters.items():
+            rects = filt.rects
+            n = min(len(rects), self.alpha)
+            if n:
+                self.lo[node, :n] = rects.lo[:n]
+                self.hi[node, :n] = rects.hi[:n]
+                self.count[node] = n
+
+
+def greedy_assign_one_reference(problem: SAProblem,
+                                state: TreeFilterStateReference,
+                                loads: np.ndarray, j: int, respect_latency: bool,
+                                lbf_stages: tuple[float, ...],
+                                population: int | None = None,
+                                allowed: np.ndarray | None = None
+                                ) -> tuple[int, bool]:
+    """Assign subscriber ``j``; returns (leaf_row, load_cap_respected).
+
+    ``population`` is the subscriber count the load caps are relative to;
+    it defaults to the full problem size (offline use) and is the current
+    active count in the dynamic manager.  ``allowed`` optionally restricts
+    the candidate leaf rows (the runtime's failover repair excludes
+    unreachable brokers); it is a hard constraint — even the best-effort
+    fallback stays inside it.
+    """
+    m = population if population is not None else problem.num_subscribers
+    if respect_latency:
+        latency_ok = problem.feasible_leaf[:, j]
+    else:
+        latency_ok = np.ones(problem.num_leaf_brokers, dtype=bool)
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if not allowed.any():
+            raise ValueError("no allowed leaf brokers to assign to")
+        latency_ok = latency_ok & allowed
+
+    candidate_rows = np.empty(0, dtype=int)
+    cap_respected = True
+    for stage, lbf in enumerate(lbf_stages):
+        caps = lbf * problem.kappas * m
+        open_mask = (loads + 1) <= caps + 1e-9
+        candidate_rows = np.flatnonzero(latency_ok & open_mask)
+        if len(candidate_rows):
+            break
+    if not len(candidate_rows):
+        # Best effort: ignore load caps entirely (paper: "we report the
+        # best-effort solutions found by Gr").
+        cap_respected = False
+        candidate_rows = np.flatnonzero(latency_ok)
+        if not len(candidate_rows):
+            candidate_rows = (np.flatnonzero(allowed) if allowed is not None
+                              else np.arange(problem.num_leaf_brokers))
+
+    sub_lo = problem.subscriptions.lo[j]
+    sub_hi = problem.subscriptions.hi[j]
+    costs = state.path_costs(candidate_rows, sub_lo, sub_hi)
+    best_cost = costs.min()
+    near_best = candidate_rows[costs <= best_cost + 1e-12]
+    if len(near_best) > 1:
+        # Tie-break: least relative load m_i / (kappa_i m).
+        relative = loads[near_best] / (problem.kappas[near_best] * m)
+        winner = int(near_best[relative.argmin()])
+    else:
+        winner = int(near_best[0])
+    return winner, cap_respected

@@ -1,16 +1,29 @@
 """Tests for the greedy algorithms Gr, Gr*, and Gr-no-latency."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import (
+    BrokerOutage,
+    DisseminationEngine,
+    FaultPlan,
+    GoogleGroupsConfig,
     SAParameters,
     SAProblem,
+    UniformEvents,
+    apply_fault_plan,
     build_one_level_tree,
+    generate_google_groups,
+    multilevel_problem,
     offline_greedy,
+    one_level_problem,
     online_greedy,
 )
-from repro.geometry import RectSet
+from repro.dynamic import DynamicPubSub
+from repro.geometry import Rect, RectSet
+from repro.network.tree import PUBLISHER
 from repro.metrics import evaluate_solution
 
 
@@ -168,3 +181,127 @@ class TestGreedyMultilevel:
         internal = [n for n in range(1, tree.num_nodes) if not tree.is_leaf(n)]
         if internal:
             assert any(not solution.filters[n].is_empty() for n in internal)
+
+
+# -- pinned outputs -------------------------------------------------------------
+#
+# sha256 over the assignment and every filter's rectangles, recorded
+# before the greedy walk learned to commit the placement it costed.  A
+# float that moves in the least-enlargement step changes a filter or a
+# later choice and fails here.
+
+
+def greedy_digest(assignment, filters):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(assignment, dtype=np.int64).tobytes())
+    for node in sorted(filters):
+        h.update(np.int64(node).tobytes())
+        h.update(np.ascontiguousarray(filters[node].rects.lo).tobytes())
+        h.update(np.ascontiguousarray(filters[node].rects.hi).tobytes())
+    return h.hexdigest()
+
+
+def _population(num_subscribers, num_brokers):
+    return generate_google_groups(7, GoogleGroupsConfig(
+        num_subscribers=num_subscribers, num_brokers=num_brokers,
+        interest_skew="H", broad_interests="L"))
+
+
+@pytest.fixture(scope="module")
+def event_problem():
+    """The event-plane benchmark's population: 1500 subscribers, 16 brokers."""
+    return one_level_problem(_population(1500, 16))
+
+
+@pytest.fixture(scope="module")
+def deep_problem():
+    return multilevel_problem(_population(2000, 64), max_out_degree=8, seed=7)
+
+
+GOLDEN_ONE_LEVEL = {
+    "Gr*": "55c6b82b96e5fc1c33771745a5e3b5451657e6dc9e469aea40f9de87a1295db8",
+    "Gr": "068df6ec737074025e9b986841d5ebf7cc881123fcd3a00ee3c47e5717a48664",
+    "Gr-no-latency":
+        "9737b63feaebf5e41dbc95cf8b43f255813abafe22463434a754861e2ef4f84e",
+}
+GOLDEN_MULTILEVEL = {
+    "Gr*": "f3791013d402cf7b6aed8f7ca43bfd3e2d11940cab2516c5f16c868d92d77bb8",
+    "Gr": "2e0c13f08d004fb26effaa4c8d03dcac608f57c678596921e1921d0ee7b69045",
+}
+GOLDEN_DYNAMIC = \
+    "007f771fe92d34432607c637500bb11c8270ebe6f0be67a76d2cba40807e81d4"
+GOLDEN_FAILOVER = {
+    "one-level":
+        "16bc2056a56a7863e065f7919a06c25de2b009b7f981fe0faa864f61200ad585",
+    "multilevel":
+        "69903d37fe60da6aaaf76f27079cea0aa63f0441fbdde5724e3a9719861f4bc8",
+}
+
+
+def _run_greedy(problem, name):
+    if name == "Gr*":
+        return offline_greedy(problem)
+    return online_greedy(problem, respect_latency=name == "Gr")
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ONE_LEVEL))
+    def test_one_level(self, event_problem, name):
+        solution = _run_greedy(event_problem, name)
+        assert greedy_digest(solution.assignment, solution.filters) == \
+            GOLDEN_ONE_LEVEL[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MULTILEVEL))
+    def test_multilevel(self, deep_problem, name):
+        solution = _run_greedy(deep_problem, name)
+        assert greedy_digest(solution.assignment, solution.filters) == \
+            GOLDEN_MULTILEVEL[name]
+
+    def test_dynamic_arrivals_and_departures(self, event_problem):
+        """Online arrivals on grown filters, departures, and arrivals on
+        the filters a re-optimization loaded."""
+        manager = DynamicPubSub(event_problem)
+        order = np.random.default_rng(3).permutation(
+            event_problem.num_subscribers)
+        for j in order[:900]:
+            manager.arrive(int(j))
+        for j in order[100:400]:
+            manager.depart(int(j))
+        for j in order[900:1200]:
+            manager.arrive(int(j))
+        manager.reoptimize("Gr*")
+        for j in order[1200:]:
+            manager.arrive(int(j))
+        assert greedy_digest(manager.assignment,
+                             manager.current_filters()) == GOLDEN_DYNAMIC
+
+    @pytest.mark.parametrize("tree", sorted(GOLDEN_FAILOVER))
+    def test_failover_repair(self, event_problem, deep_problem, tree):
+        """Re-place the subscribers of crashed brokers on the survivors.
+
+        One level loses its two most loaded leaves; the multilevel tree
+        loses the publisher's busiest child and every leaf beneath it.
+        """
+        problem = event_problem if tree == "one-level" else deep_problem
+        solution = offline_greedy(problem)
+        if tree == "one-level":
+            loads = problem.loads(solution.assignment)
+            victims = problem.tree.leaves[np.argsort(-loads, kind="stable")[:2]]
+        else:
+            children = problem.tree.children(PUBLISHER)
+            loads = problem.loads(solution.assignment)
+            under = [int(loads[problem.tree.subtree_leaf_rows(c)].sum())
+                     for c in children]
+            victims = [children[int(np.argmax(under))]]
+        engine = DisseminationEngine(
+            problem.tree, solution.filters, solution.assignment,
+            problem.subscriptions, subscriber_points=problem.subscriber_points)
+        apply_fault_plan(engine, FaultPlan(outages=tuple(
+            BrokerOutage(int(v), 1.0) for v in victims)), problem)
+        result = engine.run(
+            UniformEvents(Rect(problem.subscriptions.lo.min(axis=0),
+                               problem.subscriptions.hi.max(axis=0))),
+            np.random.default_rng(7), 50)
+        assert result.telemetry.counter("failover_migrations").value > 0
+        assert greedy_digest(engine.assignment, engine.filters) == \
+            GOLDEN_FAILOVER[tree]

@@ -15,6 +15,7 @@ from repro.network import BrokerTree
 from repro.network.tree import PUBLISHER
 from repro.pubsub import (BruteForceMatcher, Filter, RoutingPlan,
                           simulate_dissemination)
+from repro.serve.broker import RoutingTable
 
 # Interior brokers 1, 2 and 4; leaves 3, 5, 6, 7 and 8.
 PARENTS = [-1, 0, 0, 1, 1, 2, 2, 4, 4]
@@ -103,12 +104,12 @@ class TestRoutingPlan:
     @pytest.mark.parametrize("bad", [0, 1, CRASHED_INTERIOR, -2,
                                      len(PARENTS)])
     def test_reach_rejects_non_leaf_assignment(self, network, bad):
+        """``check`` is the gate each plane runs when it takes an
+        assignment; ``block`` itself trusts its caller."""
         tree, filters = network
         plan = RoutingPlan(tree, filters)
-        subs = RectSet(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(ValueError, match="neither -1 nor a leaf"):
-            plan.block(np.full((4, 2), 0.5), BruteForceMatcher(subs),
-                       np.array([3, bad, -1]))
+            plan.check(np.array([3, bad, -1]))
 
 
 class TestInteriorAssignmentRejected:
@@ -128,6 +129,12 @@ class TestInteriorAssignmentRejected:
             simulate_dissemination(tree, filters, assignment, subs,
                                    UniformEvents(Rect([0, 0], [1, 1])), rng,
                                    num_events=50)
+
+    def test_routing_table(self, network, rng):
+        tree, filters, subs, assignment = self.instance(network, rng)
+        assignment[0] = 1
+        with pytest.raises(ValueError, match="neither -1 nor a leaf"):
+            RoutingTable(0, tree, filters, assignment)
 
     @pytest.mark.parametrize("epoch_batch", [0, 16])
     def test_engine(self, network, rng, epoch_batch):
