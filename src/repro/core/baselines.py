@@ -8,8 +8,8 @@ them to show that single-criterion solutions are poor yardsticks:
   Aguilera et al. [1].
 * **Closest** — nearest broker among those not yet at their ``beta_max``
   share; a full broker is dropped from further consideration.
-* **Balance** — the best achievable load-balance factor via max-flow over
-  latency-feasible edges, ignoring the event space entirely.
+* **Balance** — the least achievable load-balance factor via max-flow
+  over latency-feasible edges, ignoring the event space entirely.
 
 None of these considers subscriptions, so their filters are derived after
 the fact with the same bottom-up alpha-MEB construction the other
@@ -24,8 +24,8 @@ import time
 
 import numpy as np
 
-from ..flow.bipartite import min_feasible_lbf
 from .problem import SAProblem, SASolution, filters_from_assignment
+from .slp.assign_flow import min_lbf_routing
 
 __all__ = ["closest_broker", "balance_assignment"]
 
@@ -73,21 +73,18 @@ def balance_assignment(problem: SAProblem, *, seed: int = 0,
                        beta_hi: float = 64.0) -> SASolution:
     """Balance: the assignment with the smallest achievable lbf.
 
-    Solves a max-flow feasibility problem per probe of a binary search on
-    the load-balance factor (paper: "a variant of the [graph] construction
-    in Section IV-B"), with latency-feasible edges only.
+    One max-flow over latency-feasible edges (paper: "a variant of the
+    [graph] construction in Section IV-B") whose caps rise from breakpoint
+    to breakpoint only when the routing proves they must, so the factor
+    found is the exact minimum (at most ``beta_hi``).
     """
     started = time.perf_counter()
-    candidates = [problem.candidate_leaf_rows(j)
-                  for j in range(problem.num_subscribers)]
-    flow = min_feasible_lbf(candidates, problem.kappas, beta_hi=beta_hi)
-
-    rows = flow.assignment
+    rows, lbf = min_lbf_routing(problem.feasible_leaf, problem.kappas, beta_hi)
     assignment = np.where(rows >= 0, problem.tree.leaves[np.maximum(rows, 0)], -1)
     rng = np.random.default_rng(seed)
     filters = filters_from_assignment(problem, assignment, rng)
     return SASolution(problem=problem, assignment=assignment, filters=filters,
                       info={"algorithm": "Balance",
-                            "achieved_lbf": flow.achieved_beta,
-                            "feasible_flow": flow.feasible,
+                            "achieved_lbf": lbf,
+                            "feasible_flow": bool((rows >= 0).all()),
                             "runtime_seconds": time.perf_counter() - started})

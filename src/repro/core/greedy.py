@@ -256,22 +256,44 @@ class _TreeFilterState:
         return filters
 
 
+class _LoadCaps:
+    """The greedy load caps for a population of ``m``, built once per ``m``.
+
+    A leaf is open at a stage while ``loads + 1 <= limits[stage]``, one
+    row ``lbf * kappas * m + 1e-9`` for ``lbf`` = ``beta``, ``beta_max``;
+    ``share`` is ``kappas * m``, the relative-load tie-break's divisor.
+    """
+
+    __slots__ = ("_kappas", "_stage_kappas", "population", "limits", "share")
+
+    def __init__(self, problem: SAProblem,
+                 population: int | None = None) -> None:
+        self._kappas = problem.kappas
+        self._stage_kappas = np.multiply.outer(
+            [problem.params.beta, problem.params.beta_max], problem.kappas)
+        self.rescale(population if population is not None
+                     else problem.num_subscribers)
+
+    def rescale(self, population: int) -> None:
+        self.population = population
+        self.limits = self._stage_kappas * population + 1e-9
+        self.share = self._kappas * population
+
+
 def _greedy_assign_one(problem: SAProblem, state: _TreeFilterState,
                        loads: np.ndarray, j: int, respect_latency: bool,
-                       lbf_stages: tuple[float, ...],
-                       population: int | None = None,
+                       caps: _LoadCaps,
                        allowed: np.ndarray | None = None) -> tuple[int, bool]:
     """Assign subscriber ``j`` and grow the filters along its path.
 
     Returns ``(leaf_row, load_cap_respected)``; the caller accounts the
-    load.  ``population`` is the subscriber count the load caps are
-    relative to; it defaults to the full problem size (offline use) and
-    is the current active count in the dynamic manager.  ``allowed``
-    optionally restricts the candidate leaf rows (the runtime's failover
-    repair excludes unreachable brokers); it is a hard constraint — even
-    the best-effort fallback stays inside it.
+    load.  ``caps`` holds the stage caps relative to the population:
+    the full problem size offline, the current active count in the
+    dynamic manager.  ``allowed`` optionally restricts the candidate
+    leaf rows (the runtime's failover repair excludes unreachable
+    brokers); it is a hard constraint — even the best-effort fallback
+    stays inside it.
     """
-    m = population if population is not None else problem.num_subscribers
     if respect_latency:
         latency_ok = problem.feasible_leaf[:, j]
     else:
@@ -284,10 +306,8 @@ def _greedy_assign_one(problem: SAProblem, state: _TreeFilterState,
 
     candidate_rows = np.empty(0, dtype=int)
     cap_respected = True
-    for stage, lbf in enumerate(lbf_stages):
-        caps = lbf * problem.kappas * m
-        open_mask = (loads + 1) <= caps + 1e-9
-        candidate_rows = (latency_ok & open_mask).nonzero()[0]
+    for limit in caps.limits:
+        candidate_rows = (latency_ok & ((loads + 1) <= limit)).nonzero()[0]
         if len(candidate_rows):
             break
     if not len(candidate_rows):
@@ -306,7 +326,7 @@ def _greedy_assign_one(problem: SAProblem, state: _TreeFilterState,
     if len(near_best) > 1:
         # Tie-break: least relative load m_i / (kappa_i m).
         tied = candidate_rows[near_best]
-        relative = loads[tied] / (problem.kappas[tied] * m)
+        relative = loads[tied] / caps.share[tied]
         index = int(near_best[relative.argmin()])
     else:
         index = int(near_best[0])
@@ -343,13 +363,13 @@ def online_greedy(problem: SAProblem, *, respect_latency: bool = True,
     m = problem.num_subscribers
     loads = np.zeros(problem.num_leaf_brokers, dtype=int)
     assignment_rows = np.zeros(m, dtype=int)
-    stages = (problem.params.beta, problem.params.beta_max)
+    caps = _LoadCaps(problem)
     violations = 0
 
     sequence = np.arange(m) if order is None else np.asarray(order, dtype=int)
     for j in sequence:
         row, ok = _greedy_assign_one(problem, state, loads, int(j),
-                                     respect_latency, stages)
+                                     respect_latency, caps)
         if not ok:
             violations += 1
         assignment_rows[j] = row
@@ -373,10 +393,9 @@ def offline_greedy(problem: SAProblem) -> SASolution:
     m = problem.num_subscribers
     loads = np.zeros(problem.num_leaf_brokers, dtype=int)
     assignment_rows = np.zeros(m, dtype=int)
-    stages = (problem.params.beta, problem.params.beta_max)
+    caps = _LoadCaps(problem)
     violations = 0
 
-    desired_caps = problem.params.beta * problem.kappas * m
     broker_open = np.ones(problem.num_leaf_brokers, dtype=bool)
     counts = problem.feasible_leaf.sum(axis=0).astype(int)
     heap: list[tuple[int, int]] = [(int(counts[j]), j) for j in range(m)]
@@ -390,14 +409,14 @@ def offline_greedy(problem: SAProblem) -> SASolution:
         if count != counts[j]:
             heapq.heappush(heap, (int(counts[j]), j))
             continue
-        row, ok = _greedy_assign_one(problem, state, loads, j, True, stages)
+        row, ok = _greedy_assign_one(problem, state, loads, j, True, caps)
         if not ok:
             violations += 1
         done[j] = True
         assignment_rows[j] = row
         loads[row] += 1
 
-        if broker_open[row] and (loads[row] + 1) > desired_caps[row] + 1e-9:
+        if broker_open[row] and (loads[row] + 1) > caps.limits[0][row]:
             # Broker just became fully loaded: shrink candidate counts of
             # remaining subscribers that could have used it.
             broker_open[row] = False

@@ -12,11 +12,12 @@ rectangle is tightest (smallest volume), under the ``beta`` capacity; the
 seed flow is then completed to a maximum flow with standard augmenting
 paths.  Augmentation only reshuffles the minimum necessary, so the final
 filters (rebuilt from the assignment by the adjustment step) stay tight.
-:func:`assign_subscriptions_maxflow` keeps the plain Dinic variant for
-the ablation benchmark.  :func:`repair_loads` runs the same
-augment-and-escalate loop to bring an existing assignment within its
-caps (the multi-level global rebalance and the member repair after
-aggregation).
+Every max-flow in the library is this augmenting-path routing: the
+ablation's plain :func:`assign_subscriptions_maxflow` and FilterAssign's
+:func:`routing_floor` route from an empty assignment,
+:func:`min_lbf_routing` finds ``Balance``'s least lbf, and
+:func:`repair_loads` brings an assignment within its caps (the
+multi-level global rebalance and the member repair after aggregation).
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from typing import Any
 
 import numpy as np
 
-from ...flow.bipartite import assign_by_flow
 from ...geometry import RectSet
 from .view import SLPView
 
 __all__ = ["AssignmentOutcome", "assign_subscriptions",
            "assign_subscriptions_maxflow", "assign_subscriptions_weighted",
-           "repair_loads"]
+           "min_lbf_routing", "repair_loads", "routing_floor"]
 
 
 @dataclass
@@ -373,6 +373,97 @@ def _place_best_effort(unrouted: Iterable[int],
         loads[pick] += 1 if weights is None else weights[j]
 
 
+def _route_from_empty(options_of: list[np.ndarray], kappas: np.ndarray,
+                      beta: float, beta_max: float,
+                      ) -> tuple[np.ndarray, np.ndarray, list[int], float, int]:
+    """Route every subscriber over its options from an empty assignment.
+
+    Returns the assignment (-1 where unrouted), the loads, the
+    subscribers unrouted at ``beta_max``, the final lbf and the number
+    of escalations.
+    """
+    m = len(options_of)
+    num_targets = len(kappas)
+    assigned = np.full(m, -1, dtype=int)
+    loads = np.zeros(num_targets, dtype=np.int64)
+    subs_of: list[set[int]] = [set() for _ in range(num_targets)]
+    unrouted, _, betabar, escalations = _route_stranded(
+        list(range(m)), _CovererCSR(options_of), assigned, loads, subs_of,
+        kappas, m, beta, beta_max)
+    return assigned, loads, unrouted, betabar, escalations
+
+
+def routing_floor(view: SLPView) -> int:
+    """Subscribers no assignment can place within the ``beta_max`` caps.
+
+    A max-flow over every latency-feasible edge leaves this many
+    unrouted, and no filter's coverage edges can do better.  Unweighted
+    views only.
+    """
+    _, _, unrouted, _, _ = _route_from_empty(
+        _coverer_lists(view.feasible), view.kappas_effective,
+        view.beta_max, view.beta_max)
+    return len(unrouted)
+
+
+def _next_breakpoint(kappas: np.ndarray, total: float,
+                     caps: np.ndarray) -> float:
+    """The least lbf at which one of these targets' caps rises.
+
+    That is ``(caps[i] + 1) / (kappa_i * total)``, stepped to the
+    neighbouring floats where :func:`_capacities`' rounding needs it.
+    """
+    wanted = caps + 1
+    b = wanted / (kappas * total)
+    while (short := np.floor(b * kappas * total) < wanted).any():
+        b = np.where(short, np.nextafter(b, np.inf), b)
+    below = np.nextafter(b, 0.0)
+    while (fits := np.floor(below * kappas * total) >= wanted).any():
+        b = np.where(fits, below, b)
+        below = np.nextafter(b, 0.0)
+    return float(b.min())
+
+
+def min_lbf_routing(allowed: np.ndarray, kappas: np.ndarray,
+                    beta_hi: float) -> tuple[np.ndarray, float]:
+    """A full assignment at the least load-balance factor, and that factor.
+
+    ``allowed[i, j]``: target ``i`` may serve subscriber ``j``.  Routes
+    from empty, fewest options first.  When a search fails, the targets
+    it explored are full and hold only subscribers with no option
+    outside them, so by Hall's condition any full assignment needs a
+    larger cap on one of them: ``b`` rises to the least next breakpoint
+    of their caps ``floor(b * kappa_i * m)`` and the search resumes.
+    Every raise is forced, so the final ``b`` is the minimum.  ``b``
+    stops at ``beta_hi``; whoever has no path there, or no option,
+    keeps -1.
+    """
+    num_targets, m = allowed.shape
+    assigned = np.full(m, -1, dtype=int)
+    loads = np.zeros(num_targets, dtype=np.int64)
+    subs_of: list[set[int]] = [set() for _ in range(num_targets)]
+    csr = _CovererCSR(_coverer_lists(allowed))
+    # The caps must hold everyone with options; start a hair below that
+    # bound, so float rounding cannot lift it past the minimum.
+    routable = np.count_nonzero(csr.counts)
+    betabar = min(routable / (max(m, 1) * float(kappas.sum()))
+                  * (1.0 - 1e-9), beta_hi)
+    caps = _capacities(kappas, m, betabar)
+    saturated = np.zeros(num_targets, dtype=bool)
+    for j in np.argsort(csr.counts, kind="stable").tolist():
+        if csr.counts[j] == 0:
+            continue
+        while not _augment(j, csr, assigned, loads, caps, subs_of,
+                           num_targets, saturated=saturated):
+            if betabar >= beta_hi:
+                break
+            betabar = min(_next_breakpoint(kappas[saturated], m,
+                                           caps[saturated]), beta_hi)
+            caps = _capacities(kappas, m, betabar)
+            saturated[:] = False
+    return assigned, betabar
+
+
 def repair_loads(target_of: np.ndarray,
                  coverers: Callable[[], list[np.ndarray]],
                  kappas: np.ndarray, beta: float, beta_max: float,
@@ -499,28 +590,25 @@ def assign_subscriptions(view: SLPView,
 
 def assign_subscriptions_maxflow(view: SLPView,
                                  filters: list[RectSet]) -> AssignmentOutcome:
-    """Plain Dinic max-flow assignment (ablation baseline; no locality)."""
+    """Plain max-flow assignment (ablation baseline; no locality seed)."""
     candidates, uncoverable = _allowed_targets(view.coverage(filters),
                                                view.feasible)
-
-    flow = assign_by_flow(candidates, view.kappas_effective, view.beta,
-                          view.beta_max, escalation_step=ESCALATION_STEP)
-    target_of = flow.assignment.copy()
-    unrouted = np.flatnonzero(target_of < 0)
-    loads = np.bincount(target_of[target_of >= 0], minlength=view.num_targets)
-    _place_best_effort(unrouted, candidates, target_of, loads,
-                       view.kappas_effective)
+    kappas = view.kappas_effective
+    target_of, loads, unrouted, betabar, escalations = _route_from_empty(
+        candidates, kappas, view.beta, view.beta_max)
+    _place_best_effort(unrouted, candidates, target_of, loads, kappas)
 
     return AssignmentOutcome(
         target_of=target_of,
-        achieved_beta=flow.achieved_beta,
-        feasible=flow.feasible and len(uncoverable) == 0,
+        achieved_beta=betabar,
+        feasible=not unrouted and len(uncoverable) == 0,
         info={
-            "stranded_after_seed": int(len(unrouted)),
-            "unrouted": int(len(unrouted)),
+            "stranded_after_seed": view.num_subscribers,
+            "unrouted": len(unrouted),
             "uncoverable": len(uncoverable),
-            "escalations": 0,
+            "escalations": escalations,
         },
+        unrouted_subscribers=np.array(unrouted, dtype=int),
     )
 
 

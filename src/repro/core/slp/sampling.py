@@ -35,6 +35,7 @@ from .assign_flow import (
     AssignmentOutcome,
     assign_subscriptions,
     assign_subscriptions_weighted,
+    routing_floor,
 )
 from .filtergen import FilterGenConfig, generate_candidate_filters
 from .lp_relax import lp_relax
@@ -287,6 +288,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
 
     best: FilterAssignResult | None = None
     best_unrouted = np.inf
+    floor: int | None = None      #: routing_floor(view), once needed
     consecutive_helper_failures = 0
 
     g = min(config.initial_g, m)
@@ -352,6 +354,18 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                     if outcome.feasible:
                         candidate.info["runtime_seconds"] = \
                             time.perf_counter() - started
+                        return _finish(candidate, info)
+                    # No filter can route more than a max-flow over the
+                    # latency-feasible edges: accept a candidate at that
+                    # floor.  Weighted views pack groups, which is not a
+                    # flow, so they keep searching.
+                    if floor is None and view.weights is None:
+                        with span("assign"):
+                            floor = routing_floor(view)
+                    if floor is not None and unrouted <= floor:
+                        candidate.info.update(
+                            runtime_seconds=time.perf_counter() - started,
+                            accepted_with_unrouted=unrouted)
                         return _finish(candidate, info)
                     if unrouted < best_unrouted:
                         best_unrouted = unrouted

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.greedy import _greedy_assign_one, _TreeFilterState
+from ..core.greedy import _greedy_assign_one, _LoadCaps, _TreeFilterState
 from ..core.problem import SAProblem, filters_from_assignment
 from ..core.registry import get_algorithm
 from ..metrics.bandwidth import total_bandwidth
@@ -61,7 +61,7 @@ class DynamicPubSub:
         self._assignment = np.full(m, -1, dtype=int)   # leaf node ids
         self._loads = np.zeros(problem.num_leaf_brokers, dtype=int)
         self._state = _TreeFilterState(problem)
-        self._lbf_stages = (problem.params.beta, problem.params.beta_max)
+        self._caps = _LoadCaps(problem, 0)
         self.total_migrations = 0
         self._step = 0
 
@@ -95,9 +95,12 @@ class DynamicPubSub:
         if self._assignment[subscriber] >= 0:
             raise ValueError(f"subscriber {subscriber} is already active")
         # Load caps scale with the *current* active population.
+        population = self.active_count + 1
+        if self._caps.population != population:
+            self._caps.rescale(population)
         row, _ok = _greedy_assign_one(
             self._problem, self._state, self._loads, subscriber,
-            True, self._lbf_stages, population=self.active_count + 1)
+            True, self._caps)
         leaf = int(self._problem.tree.leaves[row])
         self._assignment[subscriber] = leaf
         self._loads[row] += 1

@@ -1,6 +1,5 @@
-"""Max-flow substrate: Dinic's algorithm and bipartite assignment."""
+"""Dinic's max-flow algorithm, kept only as an independent test oracle."""
 
-from .bipartite import FlowAssignment, assign_by_flow, min_feasible_lbf
 from .dinic import Dinic
 
-__all__ = ["Dinic", "FlowAssignment", "assign_by_flow", "min_feasible_lbf"]
+__all__ = ["Dinic"]

@@ -1,14 +1,14 @@
 """Dinic's maximum-flow algorithm on integer-capacity graphs.
 
-This is the flow substrate behind the paper's subscription-assignment step
-(Section IV-B) and the ``Balance`` baseline.  The implementation keeps the
-residual network between calls, so callers may *raise* capacities (the
-paper escalates the load-balance factor from ``beta`` to ``beta_max``) and
-resume augmenting without recomputing the flow found so far.
+No library code calls it: every assignment routes with
+:mod:`repro.core.slp.assign_flow`.  It stays for one reason only: the
+repository benchmark (``perfbench/layers.py``, ``install_solver``)
+imports it to trace a ``flow.maxflow`` span.  Until that import goes,
+the tests use it as an independent max-flow oracle.
 
 Pure Python, adjacency lists of edge ids, BFS level graph + DFS blocking
-flow with current-arc pointers — ``O(E sqrt(V))`` on the unit-capacity
-bipartite graphs the library builds.
+flow with current-arc pointers; the residual network persists, so raised
+capacities resume from the flow found so far.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.greedy import _TreeFilterState, _greedy_assign_one
+from ..core.greedy import _LoadCaps, _TreeFilterState, _greedy_assign_one
 from ..core.problem import SAProblem
 from ..network.tree import PUBLISHER
 from .engine import DisseminationEngine
@@ -123,8 +123,7 @@ class GreedyFailover:
         state = _TreeFilterState(problem)
         state.load_filters(engine.filters)
         loads = problem.loads(assignment)
-        stages = (problem.params.beta, problem.params.beta_max)
-        active = int((assignment >= 0).sum())
+        caps = _LoadCaps(problem, int((assignment >= 0).sum()))
 
         migrated = 0
         stranded = 0
@@ -134,13 +133,11 @@ class GreedyFailover:
                 # Latency budget can't be met on any surviving leaf; fall
                 # back to best-effort placement so delivery continues.
                 row, _ok = _greedy_assign_one(
-                    problem, state, loads, j, False, stages,
-                    population=active, allowed=reachable)
+                    problem, state, loads, j, False, caps, allowed=reachable)
                 stranded += 1
             else:
                 row, _ok = _greedy_assign_one(
-                    problem, state, loads, j, True, stages,
-                    population=active, allowed=reachable)
+                    problem, state, loads, j, True, caps, allowed=reachable)
             old_row = tree.leaf_row(int(assignment[j]))
             loads[old_row] -= 1
             loads[row] += 1

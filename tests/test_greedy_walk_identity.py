@@ -21,7 +21,7 @@ from repro import (
     build_one_level_tree,
     offline_greedy,
 )
-from repro.core.greedy import _greedy_assign_one, _TreeFilterState
+from repro.core.greedy import _greedy_assign_one, _LoadCaps, _TreeFilterState
 from repro.geometry import RectSet
 
 from .reference_loops import TreeFilterStateReference, greedy_assign_one_reference
@@ -107,8 +107,9 @@ def test_placements_match_two_walk_reference(multilevel, dim, alpha, seed):
         before = (ref.lo.copy(), ref.hi.copy())
 
         row, ok = _greedy_assign_one(problem, state, loads, int(j),
-                                     respect_latency, stages,
-                                     population=population, allowed=allowed)
+                                     respect_latency,
+                                     _LoadCaps(problem, population),
+                                     allowed=allowed)
         ref_row, ref_ok = greedy_assign_one_reference(
             problem, ref, loads, int(j), respect_latency, stages,
             population=population, allowed=allowed)

@@ -9,6 +9,7 @@ from repro.core.slp.assign_flow import (
     assign_subscriptions,
     assign_subscriptions_maxflow,
     assign_subscriptions_weighted,
+    routing_floor,
 )
 from repro.core.slp.sampling import assignment_outcome, prune_redundant_rects
 from repro.core.slp.view import SLPView, view_from_problem
@@ -279,3 +280,34 @@ class TestAcceptedOutcome:
             assert result.outcome is None
             assert_same_outcome(assignment_outcome(view, result),
                                 fresh_outcome(view, result.filters))
+
+
+class TestRoutingFloor:
+    """An unweighted view no filter can make load-feasible stops early.
+
+    Target 0 is the only latency-feasible target of 60 subscribers and
+    holds 50, so every covering candidate leaves at least 10 unrouted.
+    FilterAssign accepts the first candidate at that floor instead of
+    spending its whole iteration budget on LP solves; most of the solves
+    it does make are load-infeasible samples before the first covering
+    candidate.
+    """
+
+    @staticmethod
+    def load_infeasible_view(rng):
+        view = make_view(rng, m=100, brokers=2)
+        view.beta = view.beta_max = 1.0
+        view.feasible[1, :60] = False
+        return view
+
+    def test_accepts_at_the_floor(self):
+        rng = np.random.default_rng(4)
+        view = self.load_infeasible_view(rng)
+        assert routing_floor(view) == 10
+        result = filter_assign(view, rng)
+        assert not result.used_fallback
+        assert result.info["accepted_with_unrouted"] == 10
+        assert result.info["lp_calls"] <= 40
+        assert result.outcome.info["unrouted"] == 10
+        assert_same_outcome(result.outcome,
+                            fresh_outcome(view, result.filters))
