@@ -9,10 +9,11 @@ by broker ``i``) and ``y_ik`` (rectangle ``k`` in broker ``i``'s filter):
                 (C3) sum_{j in Sb} x_ij <= beta kappa_i |Sb|  for each broker i
                 (C4) x_ij <= sum_{k in R_j} y_ik              for feasible (i, j)
 
-is relaxed to an LP (variables in ``[0, 1]``) and solved with HiGHS via
-``scipy.optimize.linprog`` on sparse matrices.  The fractional optimum is
-the *lower bound* the paper uses as its yardstick by-product.  The ``y``
-variables are then rounded: ``y_ik = 1`` with probability
+is relaxed to an LP (variables in ``[0, 1]``) and solved with HiGHS
+(:mod:`repro.perf.fastlp`) on a compressed-column constraint matrix.
+The fractional optimum is the *lower bound* the paper uses as its
+yardstick by-product.  The ``y`` variables are then rounded:
+``y_ik = 1`` with probability
 ``1 - (1 - yhat)^{2 ln |Sa|}``, re-rounding until the sample ``Sa`` is
 covered (each attempt succeeds with probability >= 1/2).
 """
@@ -21,16 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ...geometry import RectSet
-from ...perf.fastlp import solve_bounded_lp
+from ...perf.fastlp import CSCMatrix, solve_bounded_lp
 from ...perf.profiler import span
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = ["LPOutcome", "lp_relax"]
 
@@ -75,7 +72,7 @@ def _assemble_constraints(feasible: np.ndarray, sb_mask: np.ndarray,
                           pair_broker: np.ndarray, pair_sub: np.ndarray,
                           kappas: np.ndarray, alpha: int, beta: float,
                           weights: np.ndarray | None = None,
-                          ) -> tuple[sparse.csr_matrix, np.ndarray]:
+                          ) -> tuple[CSCMatrix, np.ndarray]:
     """Build ``A_ub x <= b_ub`` for C1-C4 with pure index arithmetic.
 
     Variable layout (matching the docstring): y variables broker-major
@@ -83,7 +80,10 @@ def _assemble_constraints(feasible: np.ndarray, sb_mask: np.ndarray,
     in ``np.nonzero(feasible)`` (broker-major) order.  Rows are C1, C2,
     C3, C4 in that order — the exact matrix the per-row Python loops used
     to produce, so the LP (and everything downstream of its optimum) is
-    bit-identical to the pre-vectorization implementation.
+    bit-identical to the pre-vectorization implementation.  It comes back
+    in canonical compressed-column form (rows ascending within each
+    column, no duplicates), the arrays scipy's COO -> CSR -> CSC
+    conversion gives.
     """
     num_brokers, m = feasible.shape
     num_x = len(pair_broker)
@@ -150,9 +150,17 @@ def _assemble_constraints(feasible: np.ndarray, sb_mask: np.ndarray,
     vals = np.concatenate([c1_vals, c2_vals, c3_vals, np.ones(num_x),
                            -np.ones(len(c4_neg_rows))])
     b_ub = np.concatenate([c1_b, c2_b, c3_b, np.zeros(num_x)])
-    from scipy import sparse  # on first use; see repro.perf.fastlp
-    a_ub = sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(row, num_y + num_x)).tocsr()
+
+    # Column-major order.  Every (row, column) pair above is distinct, and
+    # within one column the entries already come in ascending row order
+    # (a y column holds its C1 row, then C4 rows by pair; an x column its
+    # C2, C3 and C4 rows), so a stable sort by column is the whole job.
+    num_cols = num_y + num_x
+    by_col = np.argsort(cols, kind="stable")
+    indptr = np.zeros(num_cols + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(cols, minlength=num_cols))
+    a_ub = CSCMatrix(indptr, rows[by_col].astype(np.int32), vals[by_col],
+                     (row, num_cols))
     return a_ub, b_ub
 
 
@@ -205,19 +213,17 @@ def lp_relax(sub_rects: RectSet,
     pair_broker, pair_sub = np.nonzero(feasible)
     num_x = len(pair_broker)
 
-    cost = np.zeros(num_y + num_x)
-    cost[:num_y] = np.tile(volumes, num_brokers)
-
     with span("lp_assemble"):
         a_ub, b_ub = _assemble_constraints(feasible, sb_mask, contain,
                                            num_y, u, pair_broker, pair_sub,
                                            kappas, alpha, beta, weights)
     with span("lp_solve"):
-        # HiGHS reads the matrix column-major.  Converting here rather
-        # than inside solve_bounded_lp opens the stage well before the
-        # solver call, so tracers that nest spans by time attribute the
-        # call to this stage.
-        result = solve_bounded_lp(cost, a_ub.tocsc(), b_ub)
+        # The objective is built inside the stage so that the stage opens
+        # well before the solver call: tracers that nest spans by time
+        # then attribute the call to this stage.
+        cost = np.zeros(num_y + num_x)
+        cost[:num_y] = np.tile(volumes, num_brokers)
+        result = solve_bounded_lp(cost, a_ub, b_ub)
     if not result.success:
         return None
 

@@ -62,6 +62,7 @@ class DynamicPubSub:
         self._loads = np.zeros(problem.num_leaf_brokers, dtype=int)
         self._state = _TreeFilterState(problem)
         self._caps = _LoadCaps(problem, 0)
+        self._active = 0   # == (self._assignment >= 0).sum(), kept by hand
         self.total_migrations = 0
         self._step = 0
 
@@ -81,7 +82,7 @@ class DynamicPubSub:
 
     @property
     def active_count(self) -> int:
-        return int(self.active_mask.sum())
+        return self._active
 
     @property
     def assignment(self) -> np.ndarray:
@@ -95,7 +96,7 @@ class DynamicPubSub:
         if self._assignment[subscriber] >= 0:
             raise ValueError(f"subscriber {subscriber} is already active")
         # Load caps scale with the *current* active population.
-        population = self.active_count + 1
+        population = self._active + 1
         if self._caps.population != population:
             self._caps.rescale(population)
         row, _ok = _greedy_assign_one(
@@ -104,6 +105,7 @@ class DynamicPubSub:
         leaf = int(self._problem.tree.leaves[row])
         self._assignment[subscriber] = leaf
         self._loads[row] += 1
+        self._active += 1
         return leaf
 
     def depart(self, subscriber: int) -> None:
@@ -113,6 +115,7 @@ class DynamicPubSub:
             raise ValueError(f"subscriber {subscriber} is not active")
         self._loads[self._problem.tree.leaf_row(leaf)] -= 1
         self._assignment[subscriber] = -1
+        self._active -= 1
 
     def apply(self, step: ChurnStep) -> None:
         """Apply one churn step (arrivals first, then departures — the
@@ -195,6 +198,8 @@ class DynamicPubSub:
         self.total_migrations += migrations
 
         self._assignment[active] = new
+        # Recounted: an algorithm may leave members unassigned (-1).
+        self._active = int((self._assignment >= 0).sum())
         self._loads = self._problem.loads(self._assignment)
         self._state.load_filters(solution.filters)
         return {

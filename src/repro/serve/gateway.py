@@ -172,9 +172,9 @@ class ServeDaemon:
 
     async def start(self) -> None:
         if self.config.reopt_algorithm in LP_ALGORITHMS:
-            # Import scipy now, off the loop: the first re-optimization
-            # holds churn_lock, and every churn op would wait out the
-            # import behind it.
+            # Load HiGHS's core now, off the loop: the first
+            # re-optimization holds churn_lock, and every churn op would
+            # wait out the load behind it.
             await asyncio.to_thread(fastlp.load_backend)
         self._server = await asyncio.start_server(
             self._accept, self.config.host, self.config.port,

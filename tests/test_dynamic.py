@@ -161,3 +161,59 @@ class TestDynamicPubSub:
         system = booted_system(population_problem, count=120)
         lbf = system.load_balance_factor()
         assert lbf <= population_problem.params.beta_max + 0.5
+
+
+class TestActiveCount:
+    """``active_count`` is a maintained counter; it must equal a recount."""
+
+    @staticmethod
+    def _drop_every_third(problem, **kwargs):
+        # Gr*, then every third member left unassigned (-1): a
+        # re-optimization may deactivate members.
+        from repro.core.greedy import offline_greedy
+        solution = offline_greedy(problem, **kwargs)
+        solution.assignment = np.asarray(solution.assignment).copy()
+        solution.assignment[::3] = -1
+        return solution
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counter_matches_recount(self, population_problem, monkeypatch,
+                                     seed):
+        from repro.core import registry
+        monkeypatch.setitem(registry.ALGORITHMS, "Drop",
+                            self._drop_every_third)
+        rng = np.random.default_rng(seed)
+        m = population_problem.num_subscribers
+        system = DynamicPubSub(population_problem, seed=seed)
+        reopts = 0
+        for _ in range(400):
+            assignment = system.assignment
+            roll = rng.random()
+            if roll < 0.03:
+                before = system.active_count
+                info = system.reoptimize(str(rng.choice(["Gr*", "Drop"])))
+                reopts += info["committed"]
+                if info["committed"]:
+                    assert system.active_count <= before
+            elif roll < 0.6 or not (assignment >= 0).any():
+                inactive = np.flatnonzero(assignment < 0)
+                system.arrive(int(rng.choice(inactive)))
+            else:
+                system.depart(int(rng.choice(np.flatnonzero(assignment >= 0))))
+            recount = int((system.assignment >= 0).sum())
+            assert system.active_count == recount
+            assert system.snapshot().active_count == recount
+            assert recount <= m
+        assert reopts > 0
+
+    def test_drop_leaves_members_unassigned(self, population_problem,
+                                            monkeypatch):
+        from repro.core import registry
+        monkeypatch.setitem(registry.ALGORITHMS, "Drop",
+                            self._drop_every_third)
+        system = booted_system(population_problem, count=60)
+        system.reoptimize("Drop")
+        assert system.active_count == 40
+        assert len(system.active_indices) == 40
+        system.arrive(int(np.flatnonzero(system.assignment < 0)[0]))
+        assert system.active_count == 41

@@ -23,6 +23,8 @@ from repro import GoogleGroupsConfig, generate_google_groups, \
 from repro.core.slp import AggregationConfig, slp
 from repro.perf.fastlp import FAST_PATH_AVAILABLE, solve_bounded_lp
 
+fastlp = importlib.import_module("repro.perf.fastlp")
+
 
 def random_lp(seed, num_vars=30, num_rows=40, density=0.3):
     """A random feasible-by-construction box-bounded LP."""
@@ -77,7 +79,9 @@ def slp_lps():
     lps = []
 
     def capture(cost, a_ub, b_ub):
-        lps.append((cost.copy(), a_ub.copy(), b_ub.copy()))
+        matrix = sparse.csc_matrix((a_ub.data, a_ub.indices, a_ub.indptr),
+                                   shape=a_ub.shape)
+        lps.append((cost.copy(), matrix.copy(), b_ub.copy()))
         return solve_bounded_lp(cost, a_ub, b_ub)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -114,6 +118,49 @@ def test_fast_path_available_on_this_scipy():
     assert FAST_PATH_AVAILABLE
 
 
+#: Run in a fresh interpreter: an SLP1 solve loads HiGHS's core alone,
+#: and a later ``import scipy.optimize`` reuses that core.
+SOLVE_PROBE = """
+import importlib, sys
+import numpy as np
+from repro import GoogleGroupsConfig, generate_google_groups, \\
+    one_level_problem
+from repro.core.registry import get_algorithm
+from repro.perf import fastlp
+
+fastlp.load_backend()
+core = sys.modules["scipy.optimize._highspy._core"]
+lp_relax = importlib.import_module("repro.core.slp.lp_relax")
+solved = []
+solve = lp_relax.solve_bounded_lp
+
+def capture(cost, a_ub, b_ub):
+    solved.append((cost, a_ub, b_ub))
+    return solve(cost, a_ub, b_ub)
+
+lp_relax.solve_bounded_lp = capture
+config = GoogleGroupsConfig(num_subscribers=80, num_brokers=4)
+problem = one_level_problem(generate_google_groups(3, config))
+assert get_algorithm("SLP1")(problem, seed=0).validate().all_assigned
+assert solved
+assert "scipy.optimize" not in sys.modules
+assert "scipy.sparse" not in sys.modules
+
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+from scipy.sparse import csc_matrix
+assert _core is core
+cost, a_ub, b_ub = solved[-1]
+matrix = csc_matrix((a_ub.data, a_ub.indices, a_ub.indptr), shape=a_ub.shape)
+ref = linprog(cost, A_ub=matrix, b_ub=b_ub, bounds=(0.0, 1.0),
+              method="highs")
+fast = fastlp.solve_bounded_lp(cost, a_ub, b_ub)
+assert ref.status == fast.status == 0
+assert ref.fun == fast.fun
+assert np.array_equal(ref.x, fast.x)
+"""
+
+
 def test_package_import_defers_scipy():
     # The event planes and serve's publish path never solve an LP, so
     # importing the package must not pay for scipy.optimize (~45 MB).
@@ -123,3 +170,31 @@ def test_package_import_defers_scipy():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     subprocess.run([sys.executable, "-c", probe], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+    # Nor does solving: SLP's LPs need HiGHS's compiled core only.
+    subprocess.run([sys.executable, "-c", SOLVE_PROBE], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_linprog_fallback_is_identical(slp_lps, monkeypatch):
+    # On a scipy whose HiGHS core is not where the loader looks, every
+    # solve goes through public linprog, with the same result.
+    direct = [solve_bounded_lp(*lp) for lp in slp_lps]
+    monkeypatch.delitem(sys.modules, fastlp._CORE)
+    monkeypatch.setattr(fastlp, "EXTENSION_SUFFIXES", [])
+    fastlp._highs.cache_clear()
+    try:
+        assert not fastlp.FAST_PATH_AVAILABLE
+        fallback = [solve_bounded_lp(*lp) for lp in slp_lps]
+    finally:
+        fastlp._highs.cache_clear()
+    for fast, slow in zip(direct, fallback, strict=True):
+        assert fast.status == slow.status
+        assert fast.success == slow.success
+        assert fast.message == slow.message
+        assert fast.nit == slow.nit
+        assert fast.fun == slow.fun
+        for field in ("x", "slack"):
+            mine, theirs = getattr(fast, field), getattr(slow, field)
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert np.array_equal(mine, theirs)

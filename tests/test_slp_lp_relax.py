@@ -156,28 +156,43 @@ def reference_assembly(feasible, sb_mask, contain, u, kappas, alpha, beta):
     return a_ub, np.asarray(b_ub, dtype=float)
 
 
+def as_scipy(a):
+    """The scipy matrix of the CSC arrays ``_assemble_constraints`` returns."""
+    from scipy import sparse
+
+    return sparse.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def random_assembly_case(seed):
+    """A random (feasible, sb_mask, contain, u, kappas, alpha, beta)."""
+    gen = np.random.default_rng(seed)
+    num_brokers = int(gen.integers(2, 6))
+    m = int(gen.integers(4, 20))
+    u = int(gen.integers(2, 12))
+    feasible = gen.random((num_brokers, m)) < 0.6
+    feasible[gen.integers(num_brokers), :] = True  # everyone coverable
+    sb_mask = gen.random(m) < 0.7
+    contain = gen.random((u, m)) < 0.4
+    contain[gen.integers(u), :] = True
+    kappas = gen.random(num_brokers) + 0.1
+    alpha, beta = int(gen.integers(1, 4)), float(gen.uniform(1.0, 2.0))
+    return feasible, sb_mask, contain, u, kappas, alpha, beta
+
+
 class TestVectorizedAssembly:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_loop_reference_exactly(self, seed):
         from repro.core.slp.lp_relax import _assemble_constraints
 
-        gen = np.random.default_rng(seed)
-        num_brokers = int(gen.integers(2, 6))
-        m = int(gen.integers(4, 20))
-        u = int(gen.integers(2, 12))
-        feasible = gen.random((num_brokers, m)) < 0.6
-        feasible[gen.integers(num_brokers), :] = True  # everyone coverable
-        sb_mask = gen.random(m) < 0.7
-        contain = gen.random((u, m)) < 0.4
-        contain[gen.integers(u), :] = True
-        kappas = gen.random(num_brokers) + 0.1
-        alpha, beta = int(gen.integers(1, 4)), float(gen.uniform(1.0, 2.0))
-
+        feasible, sb_mask, contain, u, kappas, alpha, beta = \
+            random_assembly_case(seed)
+        num_brokers = feasible.shape[0]
         pair_broker, pair_sub = np.nonzero(feasible)
         num_y = num_brokers * u
         fast_a, fast_b = _assemble_constraints(
             feasible, sb_mask, contain, num_y, u, pair_broker, pair_sub,
             kappas, alpha, beta)
+        fast_a = as_scipy(fast_a)
         ref_a, ref_b = reference_assembly(
             feasible, sb_mask, contain, u, kappas, alpha, beta)
 
@@ -186,6 +201,27 @@ class TestVectorizedAssembly:
         assert (fast_a != ref_a).nnz == 0
         # Same floats row for row, not merely an equivalent matrix.
         assert np.array_equal(fast_a.toarray(), ref_a.toarray())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arrays_are_scipys_csc(self, seed):
+        # HiGHS gets exactly the arrays scipy's COO -> CSR -> CSC gives:
+        # int32 indices, rows ascending within each column.
+        from repro.core.slp.lp_relax import _assemble_constraints
+
+        feasible, sb_mask, contain, u, kappas, alpha, beta = \
+            random_assembly_case(seed)
+        pair_broker, pair_sub = np.nonzero(feasible)
+        fast_a, _ = _assemble_constraints(
+            feasible, sb_mask, contain, feasible.shape[0] * u, u,
+            pair_broker, pair_sub, kappas, alpha, beta)
+        ref_a, _ = reference_assembly(
+            feasible, sb_mask, contain, u, kappas, alpha, beta)
+        ref_a = ref_a.tocsc()
+        assert fast_a.shape == ref_a.shape
+        assert fast_a.indptr.dtype == fast_a.indices.dtype == np.int32
+        assert np.array_equal(fast_a.indptr, ref_a.indptr)
+        assert np.array_equal(fast_a.indices, ref_a.indices)
+        assert np.array_equal(fast_a.data, ref_a.data)
 
     def test_empty_sb_mask(self):
         from repro.core.slp.lp_relax import _assemble_constraints
@@ -197,6 +233,7 @@ class TestVectorizedAssembly:
         fast_a, fast_b = _assemble_constraints(
             feasible, sb_mask, contain, 4, 2, pair_broker, pair_sub,
             np.array([0.5, 0.5]), 1, 1.5)
+        fast_a = as_scipy(fast_a)
         ref_a, ref_b = reference_assembly(
             feasible, sb_mask, contain, 2, np.array([0.5, 0.5]), 1, 1.5)
         assert np.array_equal(fast_b, ref_b)
