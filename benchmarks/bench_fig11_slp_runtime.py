@@ -24,6 +24,7 @@ from _shared import (
 )
 from repro import GoogleGroupsConfig, generate_google_groups, multilevel_problem, slp
 from repro.perf.profiler import profiled
+from repro.verify import CHECK_ASSIGNMENT, verify_solution
 
 SIZES = [250, 500, 1000, 2000]
 
@@ -51,7 +52,7 @@ def compute():
                        for stage in sorted(profiler.stats().values(),
                                            key=lambda s: -s.seconds)],
         })
-        assert solution.validate().all_assigned
+        assert verify_solution(problem, solution, {CHECK_ASSIGNMENT}).ok
     return points, profiles
 
 

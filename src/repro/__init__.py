@@ -25,7 +25,6 @@ from .core import (
     SAParameters,
     SAProblem,
     SASolution,
-    ValidationReport,
     algorithm_names,
     balance_assignment,
     closest_broker,
@@ -96,7 +95,7 @@ __all__ = [
     "Matcher", "BruteForceMatcher", "GridMatcher", "RTreeMatcher",
     "best_matcher",
     "simulate_dissemination",
-    "SAParameters", "SAProblem", "SASolution", "ValidationReport",
+    "SAParameters", "SAProblem", "SASolution",
     "filters_from_assignment",
     "online_greedy", "offline_greedy", "closest_broker",
     "balance_assignment", "slp1", "slp",

@@ -6,7 +6,6 @@ from .problem import (
     SAParameters,
     SAProblem,
     SASolution,
-    ValidationReport,
     filters_from_assignment,
 )
 from .registry import ALGORITHMS, algorithm_names, get_algorithm
@@ -16,7 +15,6 @@ __all__ = [
     "SAParameters",
     "SAProblem",
     "SASolution",
-    "ValidationReport",
     "filters_from_assignment",
     "online_greedy",
     "offline_greedy",

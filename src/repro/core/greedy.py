@@ -397,7 +397,7 @@ def offline_greedy(problem: SAProblem) -> SASolution:
     violations = 0
 
     broker_open = np.ones(problem.num_leaf_brokers, dtype=bool)
-    counts = problem.feasible_leaf.sum(axis=0).astype(int)
+    counts = problem.candidate_counts().astype(int)
     heap: list[tuple[int, int]] = [(int(counts[j]), j) for j in range(m)]
     heapq.heapify(heap)
     done = np.zeros(m, dtype=bool)

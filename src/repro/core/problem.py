@@ -1,7 +1,8 @@
 """The subscriber assignment (SA) problem and its solutions.
 
 This module defines the problem instance handed to every algorithm in the
-library, plus the solution container and a full constraint validator.
+library, plus the solution container.  :func:`repro.verify.verify_solution`
+checks a solution against every constraint.
 
 Latency semantics (paper Section VI, "Problem Settings"): constraints are
 specified by a *maximum delay* ``D``.  The delay experienced by subscriber
@@ -26,7 +27,7 @@ from ..geometry import RectSet, alpha_meb_cover
 from ..network.tree import BrokerTree
 from ..pubsub.filters import Filter
 
-__all__ = ["SAParameters", "SAProblem", "SASolution", "ValidationReport",
+__all__ = ["SAParameters", "SAProblem", "SASolution",
            "filters_from_assignment"]
 
 #: Relative tolerance for latency feasibility checks (floating point slack).
@@ -129,10 +130,6 @@ class SAProblem:
     def event_dim(self) -> int:
         return self.subscriptions.dim
 
-    def candidate_leaf_rows(self, subscriber: int) -> np.ndarray:
-        """Leaf rows (into ``tree.leaves``) satisfying subscriber's latency."""
-        return np.flatnonzero(self.feasible_leaf[:, subscriber])
-
     def candidate_counts(self) -> np.ndarray:
         """Per-subscriber count of latency-feasible leaves (Gr* ordering key)."""
         return self.feasible_leaf.sum(axis=0)
@@ -147,7 +144,7 @@ class SAProblem:
         delays = np.full(self.num_subscribers, np.inf)
         assigned = assignment >= 0
         if assigned.any():
-            rows = np.array([self.tree.leaf_row(a) for a in assignment[assigned]])
+            rows = self.tree.leaf_rows(assignment[assigned])
             used = self.leaf_latency[rows, np.flatnonzero(assigned)]
             base = self.shortest_latency[assigned]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,10 +155,8 @@ class SAProblem:
     def loads(self, assignment: np.ndarray) -> np.ndarray:
         """Subscribers per leaf broker (canonical leaf order)."""
         assignment = np.asarray(assignment, dtype=int)
-        loads = np.zeros(self.num_leaf_brokers, dtype=int)
-        for leaf_node in assignment[assignment >= 0]:
-            loads[self.tree.leaf_row(int(leaf_node))] += 1
-        return loads
+        rows = self.tree.leaf_rows(assignment[assignment >= 0])
+        return np.bincount(rows, minlength=self.num_leaf_brokers)
 
     def load_balance_factor(self, assignment: np.ndarray) -> float:
         """``max_i m_i / (kappa_i m)`` — the paper's lbf."""
@@ -174,25 +169,6 @@ class SAProblem:
                 f"event_dim={self.event_dim}, params={self.params})")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of checking a solution against every constraint."""
-
-    all_assigned: bool
-    latency_ok: bool
-    nesting_ok: bool
-    complexity_ok: bool
-    lbf: float
-    lbf_within_max: bool
-    num_latency_violations: int
-    num_nesting_violations: int
-
-    @property
-    def feasible(self) -> bool:
-        return (self.all_assigned and self.latency_ok and self.nesting_ok
-                and self.complexity_ok and self.lbf_within_max)
-
-
 @dataclass
 class SASolution:
     """An assignment plus broker filters, with optional solver metadata."""
@@ -202,64 +178,6 @@ class SASolution:
     filters: dict[int, Filter]             #: broker node id -> filter
     fractional_bandwidth: float | None = None  #: LP lower bound (SLP only)
     info: dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> ValidationReport:
-        problem = self.problem
-        assignment = np.asarray(self.assignment, dtype=int)
-        assigned = assignment >= 0
-        all_assigned = bool(assigned.all())
-
-        delays = problem.delays(assignment)
-        tolerance = problem.params.max_delay + 1e-6
-        latency_violations = int(np.sum(delays[assigned] > tolerance))
-
-        complexity_ok = all(
-            f.complexity <= problem.params.alpha for f in self.filters.values())
-
-        nesting_violations = self._count_nesting_violations()
-
-        lbf = problem.load_balance_factor(assignment)
-        return ValidationReport(
-            all_assigned=all_assigned,
-            latency_ok=latency_violations == 0,
-            nesting_ok=nesting_violations == 0,
-            complexity_ok=complexity_ok,
-            lbf=lbf,
-            lbf_within_max=lbf <= problem.params.beta_max + 1e-9,
-            num_latency_violations=latency_violations,
-            num_nesting_violations=nesting_violations,
-        )
-
-    def _count_nesting_violations(self) -> int:
-        """Subscriptions not covered by their leaf filter, plus child filters
-        not contained in their parent filter (as point sets)."""
-        problem = self.problem
-        tree = problem.tree
-        violations = 0
-
-        # Leaf level: each assigned subscription must be covered.
-        for j in range(problem.num_subscribers):
-            leaf = int(self.assignment[j])
-            if leaf < 0:
-                continue
-            leaf_filter = self.filters.get(leaf)
-            if leaf_filter is None or not leaf_filter.contains_subscription(
-                    problem.subscriptions.rect(j)):
-                violations += 1
-
-        # Interior: child filter must nest inside the parent filter.
-        for node in range(1, tree.num_nodes):
-            parent = int(tree.parents[node])
-            if parent == 0:
-                continue  # the publisher forwards everything
-            child_filter = self.filters.get(node)
-            parent_filter = self.filters.get(parent)
-            if child_filter is None or child_filter.is_empty():
-                continue
-            if parent_filter is None or not parent_filter.covers_filter(child_filter):
-                violations += 1
-        return violations
-
 
 def filters_from_assignment(problem: SAProblem, assignment: np.ndarray,
                             rng: np.random.Generator) -> dict[int, Filter]:

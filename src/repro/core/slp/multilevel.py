@@ -105,10 +105,8 @@ def _global_rebalance(problem: SAProblem, assignment: np.ndarray,
     only as needed.
     """
     tree = problem.tree
-    row_of_node = np.full(tree.num_nodes, -1)
-    row_of_node[tree.leaves] = np.arange(problem.num_leaf_brokers)
     repaired = repair_loads(
-        row_of_node[assignment],
+        tree.leaf_rows(assignment),
         lambda: _coverer_lists(problem.feasible_leaf),
         problem.kappas, problem.params.beta, problem.params.beta_max)
     if repaired is None:

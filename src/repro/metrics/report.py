@@ -94,8 +94,11 @@ def runtime_report_rows(result, domain_measure: float | None = None,
 def evaluate_solution(name: str, solution: SASolution,
                       distribution: EventDistribution | None = None,
                       runtime_seconds: float | None = None) -> SolutionReport:
-    """Validate a solution and compute every headline metric."""
-    report = solution.validate()
+    """Verify a solution and compute every headline metric."""
+    # Imported here so that ``import repro`` does not load repro.verify.
+    from ..verify import (CHECK_ASSIGNMENT, CHECK_LATENCY, CHECK_NESTING,
+                          verify_solution)
+    report = verify_solution(solution.problem, solution)
     return SolutionReport(
         algorithm=name,
         bandwidth=total_bandwidth(solution.filters, distribution),
@@ -103,10 +106,10 @@ def evaluate_solution(name: str, solution: SASolution,
         max_delay=max_delay(solution.problem, solution.assignment),
         load_stdev=load_stdev(solution.problem, solution.assignment),
         lbf=report.lbf,
-        feasible=report.feasible,
-        all_assigned=report.all_assigned,
-        latency_ok=report.latency_ok,
-        nesting_ok=report.nesting_ok,
+        feasible=report.ok,
+        all_assigned=report.count(CHECK_ASSIGNMENT) == 0,
+        latency_ok=report.count(CHECK_LATENCY) == 0,
+        nesting_ok=report.count(CHECK_NESTING) == 0,
         fractional_bandwidth=solution.fractional_bandwidth,
         runtime_seconds=runtime_seconds,
     )

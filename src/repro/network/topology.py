@@ -83,8 +83,9 @@ def _default_objective(solution: SASolution) -> float:
     search never trades feasibility for bandwidth.
     """
     from ..metrics.bandwidth import total_bandwidth
-    report = solution.validate()
-    penalty = 0.0 if report.feasible else 1e18 * (1 + report.lbf)
+    from ..verify import verify_solution
+    report = verify_solution(solution.problem, solution)
+    penalty = 0.0 if report.ok else 1e18 * (1 + report.lbf)
     return total_bandwidth(solution.filters) + penalty
 
 

@@ -66,7 +66,10 @@ class BrokerTree:
             [v for v in range(1, pos.shape[0]) if not self._children[v]], dtype=int)
         if len(self._leaves) == 0:
             raise ValueError("tree has no leaf brokers")
-        self._leaf_row = {int(v): i for i, v in enumerate(self._leaves)}
+        # Row of each node in the leaves order; -1 for the publisher and
+        # interior brokers.
+        self._row_of_node = np.full(pos.shape[0], -1, dtype=int)
+        self._row_of_node[self._leaves] = np.arange(len(self._leaves))
         self._subtree_leaf_rows = self._compute_subtree_leaves()
 
         pos.setflags(write=False)
@@ -153,7 +156,21 @@ class BrokerTree:
 
     def leaf_row(self, node: int) -> int:
         """Index of a leaf node in the canonical :attr:`leaves` order."""
-        return self._leaf_row[int(node)]
+        node = int(node)
+        row = int(self._row_of_node[node]) if 0 <= node < self.num_nodes else -1
+        if row < 0:
+            raise KeyError(f"node {node} is not a leaf broker")
+        return row
+
+    def leaf_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`leaf_row` of every id in ``nodes``, in one gather."""
+        nodes = np.asarray(nodes, dtype=int)
+        inside = (nodes >= 0) & (nodes < self.num_nodes)
+        rows = self._row_of_node[np.where(inside, nodes, PUBLISHER)]
+        if (rows < 0).any():
+            bad = int(nodes[rows < 0].flat[0])
+            raise KeyError(f"node {bad} is not a leaf broker")
+        return rows
 
     def is_leaf(self, node: int) -> bool:
         return node != PUBLISHER and not self._children[node]

@@ -12,6 +12,7 @@ from repro import (
 )
 from repro.geometry import RectSet
 from repro.network.space import pairwise_distances
+from repro.verify import CHECK_ASSIGNMENT, verify_solution
 
 
 def spread_problem(rng, m=80, brokers=4, beta=1.2, beta_max=1.5,
@@ -94,8 +95,7 @@ class TestBalance:
     def test_achieves_best_lbf(self, rng):
         problem = spread_problem(rng, beta=1.2, beta_max=1.5)
         solution = balance_assignment(problem)
-        report = solution.validate()
-        assert report.all_assigned
+        assert verify_solution(problem, solution, {CHECK_ASSIGNMENT}).ok
         # Balance may beat even the desired beta.
         assert solution.info["achieved_lbf"] <= 64.0
 

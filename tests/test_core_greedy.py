@@ -25,6 +25,13 @@ from repro.dynamic import DynamicPubSub
 from repro.geometry import Rect, RectSet
 from repro.network.tree import PUBLISHER
 from repro.metrics import evaluate_solution
+from repro.verify import (
+    CHECK_ASSIGNMENT,
+    CHECK_COMPLEXITY,
+    CHECK_LATENCY,
+    CHECK_NESTING,
+    verify_solution,
+)
 
 
 def clustered_problem(rng, m=100, brokers=5, max_delay=3.0):
@@ -43,11 +50,10 @@ class TestOnlineGreedy:
     def test_produces_valid_solution(self, rng):
         problem = clustered_problem(rng)
         solution = online_greedy(problem)
-        report = solution.validate()
-        assert report.all_assigned
-        assert report.nesting_ok
-        assert report.complexity_ok
-        assert report.latency_ok
+        report = verify_solution(problem, solution,
+                                 {CHECK_ASSIGNMENT, CHECK_NESTING,
+                                  CHECK_COMPLEXITY, CHECK_LATENCY})
+        assert report.ok, report.summary()
 
     def test_assigned_subscriptions_covered(self, rng):
         problem = clustered_problem(rng)
@@ -88,7 +94,7 @@ class TestOnlineGreedy:
             problem, order=np.arange(problem.num_subscribers)[::-1])
         assert forward.info["algorithm"] == backward.info["algorithm"] == "Gr"
         # Orders usually differ in total bandwidth; at minimum both valid.
-        assert backward.validate().all_assigned
+        assert verify_solution(problem, backward, {CHECK_ASSIGNMENT}).ok
 
     def test_load_caps_respected_when_feasible(self, rng):
         problem = clustered_problem(rng)
@@ -111,10 +117,10 @@ class TestOfflineGreedy:
     def test_produces_valid_solution(self, rng):
         problem = clustered_problem(rng)
         solution = offline_greedy(problem)
-        report = solution.validate()
-        assert report.all_assigned
-        assert report.nesting_ok
-        assert report.complexity_ok
+        report = verify_solution(problem, solution,
+                                 {CHECK_ASSIGNMENT, CHECK_NESTING,
+                                  CHECK_COMPLEXITY})
+        assert report.ok, report.summary()
         assert solution.info["algorithm"] == "Gr*"
 
     def test_all_subscribers_assigned_exactly_once(self, rng):
@@ -171,9 +177,9 @@ class TestGreedyMultilevel:
     def test_nesting_on_multilevel_tree(self, small_multilevel_problem):
         for algo in (online_greedy, offline_greedy):
             solution = algo(small_multilevel_problem)
-            report = solution.validate()
-            assert report.all_assigned
-            assert report.nesting_ok, f"{algo.__name__} broke nesting"
+            report = verify_solution(small_multilevel_problem, solution,
+                                     {CHECK_ASSIGNMENT, CHECK_NESTING})
+            assert report.ok, f"{algo.__name__}: {report.summary()}"
 
     def test_bandwidth_accounts_internal_brokers(self, small_multilevel_problem):
         solution = offline_greedy(small_multilevel_problem)

@@ -1,4 +1,4 @@
-"""Tests for the SA problem model, validation, and filter construction."""
+"""Tests for the SA problem model, its constraint checks, and filter construction."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,14 @@ from repro import (
 )
 from repro.geometry import Rect, RectSet
 from repro.pubsub import Filter
+from repro.verify import (
+    CHECK_ASSIGNMENT,
+    CHECK_COMPLEXITY,
+    CHECK_LATENCY,
+    CHECK_LOAD,
+    CHECK_NESTING,
+    verify_solution,
+)
 
 
 def line_problem(max_delay=0.5, beta=2.0, beta_max=3.0):
@@ -76,6 +84,14 @@ class TestProblemDerivations:
         # Subscriber 0 via broker2: 2 + 1 = 3 vs best 1 -> delay 2.
         assert delays[0] == pytest.approx(2.0)
 
+    def test_non_leaf_assignment_raises(self):
+        problem = line_problem()
+        assignment = np.array([0, problem.tree.leaves[0], -1])
+        with pytest.raises(KeyError):
+            problem.loads(assignment)
+        with pytest.raises(KeyError):
+            problem.delays(assignment)
+
     def test_delays_unassigned_inf(self):
         problem = line_problem()
         delays = problem.delays(np.array([-1, -1, -1]))
@@ -135,19 +151,19 @@ class TestValidation:
         assignment = np.array([leaves[0], leaves[0], leaves[1]])
         filters = filters_from_assignment(problem, assignment,
                                           np.random.default_rng(0))
-        report = SASolution(problem, assignment, filters).validate()
-        assert report.feasible
-        assert report.nesting_ok
-        assert report.num_latency_violations == 0
+        report = verify_solution(problem,
+                                 SASolution(problem, assignment, filters))
+        assert report.ok, report.summary()
 
     def test_unassigned_detected(self):
         problem = line_problem()
         assignment = np.array([int(problem.tree.leaves[0]), -1, -1])
         filters = filters_from_assignment(problem, assignment,
                                           np.random.default_rng(0))
-        report = SASolution(problem, assignment, filters).validate()
-        assert not report.all_assigned
-        assert not report.feasible
+        report = verify_solution(problem,
+                                 SASolution(problem, assignment, filters))
+        assert report.count(CHECK_ASSIGNMENT) == 2
+        assert not report.ok
 
     def test_latency_violation_detected(self):
         problem = line_problem(max_delay=0.1)
@@ -155,9 +171,9 @@ class TestValidation:
         assignment = np.array([leaves[1], leaves[1], leaves[1]])
         filters = filters_from_assignment(problem, assignment,
                                           np.random.default_rng(0))
-        report = SASolution(problem, assignment, filters).validate()
-        assert not report.latency_ok
-        assert report.num_latency_violations >= 1
+        report = verify_solution(problem,
+                                 SASolution(problem, assignment, filters))
+        assert report.count(CHECK_LATENCY) >= 1
 
     def test_nesting_violation_detected(self):
         problem = line_problem()
@@ -168,8 +184,9 @@ class TestValidation:
         # Corrupt one leaf's filter so it misses its subscriptions.
         filters[int(leaves[0])] = Filter.from_rects(
             [Rect([90.0, 90.0], [91.0, 91.0])])
-        report = SASolution(problem, assignment, filters).validate()
-        assert not report.nesting_ok
+        report = verify_solution(problem,
+                                 SASolution(problem, assignment, filters))
+        assert report.count(CHECK_NESTING) >= 1
 
     def test_complexity_violation_detected(self):
         problem = line_problem()  # alpha = 2
@@ -179,8 +196,9 @@ class TestValidation:
                                           np.random.default_rng(0))
         filters[int(leaves[0])] = Filter(RectSet(np.zeros((3, 2)),
                                                  np.full((3, 2), 100.0)))
-        report = SASolution(problem, assignment, filters).validate()
-        assert not report.complexity_ok
+        report = verify_solution(problem,
+                                 SASolution(problem, assignment, filters))
+        assert report.count(CHECK_COMPLEXITY) == 1
 
     def test_lbf_cap_detected(self):
         problem = line_problem(beta=1.0, beta_max=1.0)
@@ -188,8 +206,9 @@ class TestValidation:
         assignment = np.array([leaves[0], leaves[0], leaves[0]])
         filters = filters_from_assignment(problem, assignment,
                                           np.random.default_rng(0))
-        report = SASolution(problem, assignment, filters).validate()
-        assert not report.lbf_within_max
+        report = verify_solution(problem,
+                                 SASolution(problem, assignment, filters))
+        assert report.count(CHECK_LOAD) == 1
         assert report.lbf == pytest.approx(2.0)
 
 
@@ -220,7 +239,8 @@ class TestFiltersFromAssignment:
         assignment = leaves[np.arange(problem.num_subscribers) % len(leaves)]
         filters = filters_from_assignment(problem, assignment, rng)
         solution = SASolution(problem, assignment, filters)
-        assert solution._count_nesting_violations() == 0
+        report = verify_solution(problem, solution, {CHECK_NESTING})
+        assert report.ok, report.summary()
 
     def test_empty_leaf_gets_empty_filter(self):
         problem = line_problem()

@@ -19,6 +19,14 @@ from repro import (
     multilevel_problem,
     one_level_problem,
 )
+from repro.verify import (
+    CHECK_ASSIGNMENT,
+    CHECK_COMPLEXITY,
+    CHECK_NESTING,
+    verify_solution,
+)
+
+STRUCTURAL = {CHECK_ASSIGNMENT, CHECK_NESTING, CHECK_COMPLEXITY}
 
 SIZE = dict(num_subscribers=200, num_brokers=6)
 
@@ -41,20 +49,16 @@ FAST_ALGOS = ["Gr", "Gr*", "Gr-no-latency", "Closest",
 def test_fast_algorithms_one_level(family, name):
     problem = one_level_problem(make_workload(family))
     solution = ALGORITHMS[name](problem)
-    report = solution.validate()
-    assert report.all_assigned, (family, name)
-    assert report.nesting_ok, (family, name)
-    assert report.complexity_ok, (family, name)
+    report = verify_solution(problem, solution, STRUCTURAL)
+    assert report.ok, (family, name, report.summary())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_slp1_one_level(family):
     problem = one_level_problem(make_workload(family))
     solution = ALGORITHMS["SLP1"](problem, seed=0)
-    report = solution.validate()
-    assert report.all_assigned
-    assert report.nesting_ok
-    assert report.complexity_ok
+    report = verify_solution(problem, solution, STRUCTURAL)
+    assert report.ok, report.summary()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -64,10 +68,8 @@ def test_slp_multilevel(family):
                                  max_delay=0.8, beta=2.0, beta_max=2.5,
                                  seed=1)
     solution = ALGORITHMS["SLP"](problem, seed=0)
-    report = solution.validate()
-    assert report.all_assigned
-    assert report.nesting_ok
-    assert report.complexity_ok
+    report = verify_solution(problem, solution, STRUCTURAL)
+    assert report.ok, report.summary()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -78,9 +80,9 @@ def test_greedy_multilevel(family, name):
                                  max_delay=0.8, beta=2.0, beta_max=2.5,
                                  seed=1)
     solution = ALGORITHMS[name](problem)
-    report = solution.validate()
-    assert report.all_assigned, (family, name)
-    assert report.nesting_ok, (family, name)
+    report = verify_solution(problem, solution,
+                             {CHECK_ASSIGNMENT, CHECK_NESTING})
+    assert report.ok, (family, name, report.summary())
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from repro import (
+    GoogleGroupsConfig,
     SAParameters,
     SAProblem,
     UniformEvents,
     build_one_level_tree,
     evaluate_solution,
     filters_from_assignment,
+    generate_google_groups,
+    offline_greedy,
+    one_level_problem,
     total_bandwidth,
 )
 from repro.core.problem import SASolution
@@ -145,3 +149,45 @@ class TestSolutionReport:
         row = report.as_row()
         assert row["algorithm"] == "test"
         assert "bandwidth" in row
+
+
+class TestPerSubscriberBudgets:
+    """Feasibility is judged against ``SAProblem.latency_budgets``, the
+    budgets the algorithms place by, not the global ``max_delay``."""
+
+    @staticmethod
+    def with_budgets(problem, budgets):
+        return SAProblem(problem.tree, problem.subscriber_points,
+                         problem.subscriptions, problem.params,
+                         latency_budgets=budgets)
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        workload = generate_google_groups(
+            seed=7, config=GoogleGroupsConfig(num_subscribers=600,
+                                              num_brokers=8))
+        return one_level_problem(workload)
+
+    def test_loose_budgets_are_feasible(self, base):
+        loose = self.with_budgets(
+            base, (1.0 + 3.0 * base.params.max_delay) * base.shortest_latency)
+        solution = offline_greedy(loose)
+        # The solution does use the slack beyond (1 + D) * Delta_j.
+        assert max_delay(loose, solution.assignment) > loose.params.max_delay
+        report = evaluate_solution("Gr*", solution)
+        assert report.latency_ok
+        assert report.feasible
+
+    def test_budget_below_assigned_path_is_a_violation(self, base):
+        solution = offline_greedy(base)
+        assert evaluate_solution("Gr*", solution).feasible
+        # A subscriber on its best path: within the global (1 + D) budget.
+        j = int(np.flatnonzero(base.delays(solution.assignment) == 0)[0])
+        budgets = base.latency_budgets.copy()
+        budgets[j] = 0.5 * base.shortest_latency[j]
+        tight = self.with_budgets(base, budgets)
+        report = evaluate_solution(
+            "Gr*", SASolution(tight, solution.assignment, solution.filters))
+        assert not report.latency_ok
+        assert not report.feasible
+        assert report.all_assigned and report.nesting_ok

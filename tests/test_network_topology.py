@@ -11,6 +11,7 @@ from repro import (
 )
 from repro.network import BrokerTree, build_hierarchical_tree
 from repro.network.topology import optimize_topology, reattach
+from repro.verify import CHECK_ASSIGNMENT, CHECK_NESTING, verify_solution
 
 
 def simple_tree():
@@ -82,9 +83,9 @@ class TestOptimizeTopology:
         result = optimize_topology(
             tree, workload.subscriber_points, workload.subscriptions,
             params, offline_greedy, move_budget=10, seed=3)
-        report = result.solution.validate()
-        assert report.all_assigned
-        assert report.nesting_ok
+        report = verify_solution(result.solution.problem, result.solution,
+                                 {CHECK_ASSIGNMENT, CHECK_NESTING})
+        assert report.ok, report.summary()
 
     def test_respects_out_degree(self, instance):
         workload, tree, params = instance

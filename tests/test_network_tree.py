@@ -127,6 +127,22 @@ class TestLatencies:
         for row, node in enumerate(t.leaves):
             assert t.leaf_row(int(node)) == row
 
+    def test_leaf_rows_gathers_in_any_order(self):
+        rng = np.random.default_rng(4)
+        t = build_hierarchical_tree(np.zeros(2), rng.uniform(0, 10, (20, 2)),
+                                    3, rng)
+        nodes = rng.permutation(np.repeat(t.leaves, 2))
+        assert t.leaf_rows(nodes).tolist() == [t.leaf_row(int(v)) for v in nodes]
+        assert t.leaf_rows(np.array([], dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("node", [0, 1, 2, -1, 4])
+    def test_non_leaf_ids_raise(self, node):
+        t = chain_tree()  # nodes 0-2 are not leaves; -1 and 4 are not nodes
+        with pytest.raises(KeyError):
+            t.leaf_row(node)
+        with pytest.raises(KeyError):
+            t.leaf_rows(np.array([3, node]))
+
 
 class TestBuilders:
     def test_one_level_all_leaves(self):

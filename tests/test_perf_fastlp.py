@@ -141,7 +141,7 @@ def capture(cost, a_ub, b_ub):
 lp_relax.solve_bounded_lp = capture
 config = GoogleGroupsConfig(num_subscribers=80, num_brokers=4)
 problem = one_level_problem(generate_google_groups(3, config))
-assert get_algorithm("SLP1")(problem, seed=0).validate().all_assigned
+assert (get_algorithm("SLP1")(problem, seed=0).assignment >= 0).all()
 assert solved
 assert "scipy.optimize" not in sys.modules
 assert "scipy.sparse" not in sys.modules

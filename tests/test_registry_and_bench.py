@@ -16,6 +16,7 @@ from repro.bench import (
     write_bench_json,
 )
 from repro.bench.harness import JSON_ENV_VAR
+from repro.verify import CHECK_ASSIGNMENT, verify_solution
 
 
 class TestRegistry:
@@ -37,11 +38,11 @@ class TestRegistry:
 
     def test_slp1_runs(self, tiny_problem):
         solution = get_algorithm("SLP1")(tiny_problem, seed=0)
-        assert solution.validate().all_assigned
+        assert verify_solution(tiny_problem, solution, {CHECK_ASSIGNMENT}).ok
 
     def test_slp_runs_on_one_level(self, tiny_problem):
         solution = get_algorithm("SLP")(tiny_problem, seed=0)
-        assert solution.validate().all_assigned
+        assert verify_solution(tiny_problem, solution, {CHECK_ASSIGNMENT}).ok
 
 
 class TestHarness:

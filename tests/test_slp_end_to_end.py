@@ -13,6 +13,13 @@ from repro import (
     slp1,
 )
 from repro.metrics import evaluate_solution
+from repro.verify import (
+    CHECK_ASSIGNMENT,
+    CHECK_COMPLEXITY,
+    CHECK_LATENCY,
+    CHECK_NESTING,
+    verify_solution,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +36,10 @@ def gg_solution(gg_problem):
 
 class TestSLP1:
     def test_valid_solution(self, gg_problem, gg_solution):
-        report = gg_solution.validate()
-        assert report.all_assigned
-        assert report.latency_ok
-        assert report.nesting_ok
-        assert report.complexity_ok
+        report = verify_solution(gg_problem, gg_solution,
+                                 {CHECK_ASSIGNMENT, CHECK_LATENCY,
+                                  CHECK_NESTING, CHECK_COMPLEXITY})
+        assert report.ok, report.summary()
 
     def test_fractional_bound_reported(self, gg_solution):
         assert gg_solution.fractional_bandwidth is not None
@@ -66,7 +72,7 @@ class TestSLP1:
     def test_custom_config(self, gg_problem):
         config = FilterAssignConfig(eps=0.2, max_total_iterations=8)
         solution = slp1(gg_problem, seed=1, config=config)
-        assert solution.validate().all_assigned
+        assert verify_solution(gg_problem, solution, {CHECK_ASSIGNMENT}).ok
 
 
 class TestSLPMultilevel:
@@ -87,10 +93,10 @@ class TestSLPMultilevel:
         assert ml_problem.tree.height >= 2
 
     def test_valid_solution(self, ml_problem, ml_solution):
-        report = ml_solution.validate()
-        assert report.all_assigned
-        assert report.nesting_ok
-        assert report.complexity_ok
+        report = verify_solution(ml_problem, ml_solution,
+                                 {CHECK_ASSIGNMENT, CHECK_NESTING,
+                                  CHECK_COMPLEXITY})
+        assert report.ok, report.summary()
 
     def test_assignments_are_leaves(self, ml_problem, ml_solution):
         leaves = set(ml_problem.tree.leaves.tolist())
@@ -103,7 +109,7 @@ class TestSLPMultilevel:
 
     def test_gamma_shortcut(self, ml_problem):
         shortcut = slp(ml_problem, seed=3, gamma=10_000)
-        assert shortcut.validate().all_assigned
+        assert verify_solution(ml_problem, shortcut, {CHECK_ASSIGNMENT}).ok
         # With gamma larger than m, the recursion collapses to one
         # leaf-level invocation at the root.
         assert shortcut.info["slp1_invocations"] == 1

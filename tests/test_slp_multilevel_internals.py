@@ -9,6 +9,7 @@ from repro.core.slp.multilevel import _global_rebalance
 from repro.core.slp.view import SLPView
 from repro.geometry import RectSet
 from repro.network import BrokerTree
+from repro.verify import CHECK_ASSIGNMENT, verify_solution
 
 
 def overloaded_problem():
@@ -109,4 +110,4 @@ class TestStagedEscalation:
         solution = slp1(problem, seed=1)
         assert not solution.info["filter_assign"].get("fallback", False)
         assert solution.fractional_bandwidth is not None
-        assert solution.validate().all_assigned
+        assert verify_solution(problem, solution, {CHECK_ASSIGNMENT}).ok

@@ -33,12 +33,6 @@ class TestCleanSolutions:
         assert report.lbf > 0
         assert report.num_subscribers == small_problem.num_subscribers
 
-    def test_matches_coarse_validator(self, small_problem, gr_solution):
-        coarse = gr_solution.validate()
-        fine = verify_solution(small_problem, gr_solution)
-        assert fine.ok == coarse.feasible
-        assert fine.lbf == pytest.approx(coarse.lbf)
-
     def test_by_check_covers_requested_checks(self, small_problem,
                                               gr_solution):
         report = verify_solution(small_problem, gr_solution,
