@@ -13,7 +13,10 @@ certificate is found by iterative reweighted sampling:
   a *valid* iteration is one where the violators carry at most an
   ``eps`` fraction of the total weight (Lemma 3 makes this likely);
 * after ``4 g ln(m / g)`` valid iterations, conclude the certificate is
-  larger than ``g`` (Lemma 2) and double ``g`` (exponential search).
+  larger than ``g`` (Lemma 2) and double ``g`` (exponential search);
+  an iteration with no valid draw in ``max_invalid_retries`` tries ends
+  the stage at once, since at a large enough ``g`` each draw is valid
+  with probability at least 1/2 (Lemma 3).
 
 Every budget here follows the paper's constants; practical caps bound the
 retry loops so a pathological instance degrades to a documented fallback
@@ -54,7 +57,8 @@ class FilterAssignConfig:
     sample_factor: float = 10.0        #: q = sample_factor * g * ln(g)
     sb_factor: int = 10                #: |Sb| = sb_factor * num_targets
     iteration_factor: float = 4.0      #: budget = iteration_factor * g * ln(m/g)
-    max_invalid_retries: int = 8       #: "repeat until valid" cap
+    max_invalid_retries: int = 8       #: "repeat until valid" cap; an
+    #: iteration that reaches it without a valid draw doubles g
     helper_retries: int = 3            #: fresh-Sb retries inside the helper
     max_stage_iterations: int = 12     #: practical per-stage cap (paper's
     #: per-stage budget grows with g; capping it forces g to double sooner,
@@ -378,6 +382,8 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                 if len(violators) == 0 \
                         or weights[violators].sum() <= config.eps * weights.sum():
                     break  # valid iteration
+            else:
+                break  # no valid draw: g is too small (Lemmas 2 and 3)
             if len(violators):
                 weights[violators] *= 2.0
         g *= 2

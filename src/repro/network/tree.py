@@ -162,15 +162,24 @@ class BrokerTree:
             raise KeyError(f"node {node} is not a leaf broker")
         return row
 
+    def _rows_or_minus_one(self, nodes: np.ndarray) -> np.ndarray:
+        """Leaf row of every id in ``nodes``; -1 for any other id."""
+        nodes = np.asarray(nodes, dtype=int)
+        inside = (nodes >= 0) & (nodes < self.num_nodes)
+        return self._row_of_node[np.where(inside, nodes, PUBLISHER)]
+
     def leaf_rows(self, nodes: np.ndarray) -> np.ndarray:
         """:meth:`leaf_row` of every id in ``nodes``, in one gather."""
         nodes = np.asarray(nodes, dtype=int)
-        inside = (nodes >= 0) & (nodes < self.num_nodes)
-        rows = self._row_of_node[np.where(inside, nodes, PUBLISHER)]
+        rows = self._rows_or_minus_one(nodes)
         if (rows < 0).any():
             bad = int(nodes[rows < 0].flat[0])
             raise KeyError(f"node {bad} is not a leaf broker")
         return rows
+
+    def leaf_mask(self, nodes: np.ndarray) -> np.ndarray:
+        """Which ids in ``nodes`` are leaf brokers (any integer is allowed)."""
+        return self._rows_or_minus_one(nodes) >= 0
 
     def is_leaf(self, node: int) -> bool:
         return node != PUBLISHER and not self._children[node]

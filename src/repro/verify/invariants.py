@@ -120,19 +120,16 @@ class VerificationReport:
 def _check_assignment(problem: SAProblem, assignment: np.ndarray,
                       out: list[Violation]) -> np.ndarray:
     """Validate targets; returns the mask of validly assigned subscribers."""
-    leaf_set = {int(v) for v in problem.tree.leaves}
-    valid = np.zeros(problem.num_subscribers, dtype=bool)
-    for j in range(problem.num_subscribers):
-        node = int(assignment[j])
+    valid = problem.tree.leaf_mask(assignment)
+    bad = np.flatnonzero(~valid)
+    for j, node in zip(bad.tolist(), assignment[bad].tolist()):
         if node < 0:
             out.append(Violation(CHECK_ASSIGNMENT, f"subscriber {j}",
                                  "not assigned to any leaf broker"))
-        elif node not in leaf_set:
+        else:
             out.append(Violation(CHECK_ASSIGNMENT, f"subscriber {j}",
                                  f"assigned to node {node}, which is not a "
                                  "leaf broker"))
-        else:
-            valid[j] = True
     return valid
 
 

@@ -143,6 +143,13 @@ class TestLatencies:
         with pytest.raises(KeyError):
             t.leaf_rows(np.array([3, node]))
 
+    def test_leaf_mask_flags_only_leaves(self):
+        t = chain_tree()  # node 3 is the only leaf
+        nodes = np.array([3, 0, 1, 2, -1, 4, 3, 10**9])
+        assert t.leaf_mask(nodes).tolist() == [
+            True, False, False, False, False, False, True, False]
+        assert t.leaf_mask(np.array([], dtype=int)).shape == (0,)
+
 
 class TestBuilders:
     def test_one_level_all_leaves(self):

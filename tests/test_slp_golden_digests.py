@@ -8,6 +8,21 @@ one aggregates (groups of <= 32), so the k-means splitter, FilterGen's
 super-subscriptions and the weighted greedy all take part.  Neither
 reaches the leaf-level global rebalance, so a third, m=4,000 instance
 pins a run whose rebalance moves subscribers.
+
+Two digests were re-pinned when FilterAssign began ending a stage at
+the first iteration with no valid draw (and doubling ``g``), instead of
+reweighting and re-drawing until the stage budget ran out.  The
+rounding RNG then takes a different path, so the outputs move by
+design; both runs still pass ``verify_solution``:
+
+* one-level SLP1: 44 LP solves accepted at ``g=4`` became 16 at
+  ``g=8``; bandwidth 4,469,084 -> 4,913,803;
+* multilevel with global rebalance: 114 LP solves became 313 over the
+  recursion's views, ``rebalanced`` 41 -> 15; bandwidth 25,145,585 ->
+  24,110,146.
+
+The aggregated multilevel digest did not move: none of its views has
+an iteration without a valid draw.
 """
 
 import importlib
@@ -33,8 +48,8 @@ def test_slp1_one_level_digest():
         6, GoogleGroupsConfig(num_subscribers=M, num_brokers=8))
     solution = slp1(one_level_problem(workload), seed=6)
     assert solution_digest(solution) == \
-        "63f9da79d06f97b2054085f18c32d6071085188b39d2be215b3d87d26f515d9c"
-    assert total_bandwidth(solution.filters) == 4469083.631111461
+        "ad06923b7c7507531fcb98e7b27c231fe80d4d36f0209cf26347eb4558bd6334"
+    assert total_bandwidth(solution.filters) == 4913802.748210676
 
 
 def test_slp_multilevel_aggregated_digest():
@@ -57,8 +72,8 @@ def test_slp_multilevel_global_rebalance_digest():
                    aggregation=AggregationConfig(max_group_size=32))
     assert solution.info["rebalanced"] > 0
     assert solution_digest(solution) == \
-        "10cb167df6986985e72e727a867da99dd12e058ef4dc0bf39d10bfedc95257fd"
-    assert total_bandwidth(solution.filters) == 25145584.879826337
+        "8cca5890181e0a4d89a474e3fe6e1a56c8ee68ef4bc022046fd3febfd21f88bf"
+    assert total_bandwidth(solution.filters) == 24110146.192026254
 
 
 @pytest.mark.parametrize("seed", (2, 5))

@@ -1,10 +1,20 @@
 """Tests for FilterAssign (coreset sampling) and the assignment step."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 
-from repro import SAParameters, SAProblem, build_one_level_tree
-from repro.core.slp import FilterAssignConfig, filter_assign
+from repro import (
+    GoogleGroupsConfig,
+    SAParameters,
+    SAProblem,
+    build_one_level_tree,
+    generate_google_groups,
+    one_level_problem,
+)
+from repro.core.slp import FilterAssignConfig, filter_assign, slp1
 from repro.core.slp.assign_flow import (
     assign_subscriptions,
     assign_subscriptions_maxflow,
@@ -14,6 +24,7 @@ from repro.core.slp.assign_flow import (
 from repro.core.slp.sampling import assignment_outcome, prune_redundant_rects
 from repro.core.slp.view import SLPView, view_from_problem
 from repro.geometry import RectSet
+from repro.verify import verify_solution
 
 
 def make_view(rng, m=120, brokers=5, clusters=4):
@@ -311,3 +322,53 @@ class TestRoutingFloor:
         assert result.outcome.info["unrouted"] == 10
         assert_same_outcome(result.outcome,
                             fresh_outcome(view, result.filters))
+
+
+class TestHopelessStage:
+    """An iteration with no valid draw ends the stage and doubles ``g``.
+
+    By Lemma 3 a draw at a large enough ``g`` is valid with probability
+    at least 1/2, so ``max_invalid_retries`` invalid draws in a row are
+    Lemma 2's evidence that the certificate is larger than ``g``.
+    """
+
+    @pytest.mark.parametrize("retries", [3, 8])
+    def test_each_stage_makes_exactly_the_retries(self, monkeypatch,
+                                                  retries):
+        sampling = importlib.import_module("repro.core.slp.sampling")
+        sample_sizes = []
+
+        def covers_nobody(view, sample, rng, config, info):
+            sample_sizes.append(len(sample))
+            info["lp_calls"] += 1
+            empty = RectSet.empty(view.subscriptions.dim)
+            return [empty] * view.num_targets, 0.0
+
+        monkeypatch.setattr(sampling, "_run_helper", covers_nobody)
+        rng = np.random.default_rng(0)
+        view = make_view(rng, m=300)
+        config = FilterAssignConfig(sample_factor=1.0,
+                                    max_invalid_retries=retries)
+        result = filter_assign(view, rng, config)
+
+        stages = [4, 8, 16, 32, 64, 128, 256]
+        expected = [min(300, math.ceil(g * math.log(g)))
+                    for g in stages for _ in range(retries)]
+        assert sample_sizes == expected
+        assert result.used_fallback
+        assert result.info["stages"] == result.info["iterations"] \
+            == len(stages)
+        assert result.info["lp_calls"] == len(stages) * retries
+
+    def test_serve_population_solves_at_g8(self):
+        # The serve benchmark's population: 1,000 GoogleGroups H/L
+        # members on 8 brokers, population seed 7, one level.  Every
+        # draw at g=4 misses someone; the first at g=8 covers everyone.
+        config = GoogleGroupsConfig(num_subscribers=1000, num_brokers=8,
+                                    interest_skew="H", broad_interests="L")
+        problem = one_level_problem(generate_google_groups(7, config))
+        solution = slp1(problem, seed=0)
+        info = solution.info["filter_assign"]
+        assert info["final_g"] == 8
+        assert info["lp_calls"] <= 20
+        assert verify_solution(problem, solution).ok

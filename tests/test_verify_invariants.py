@@ -73,6 +73,35 @@ class TestViolationDetection:
         assert report.count(CHECK_ASSIGNMENT) == 1
         assert "not a leaf" in report.violations[0].message
 
+    def test_corrupted_targets_pinned(self, small_multilevel_problem):
+        """Every kind of bad target, reported once each, in subscriber order."""
+        problem = small_multilevel_problem
+        solution = ALGORITHMS["Gr*"](problem)
+        assignment = solution.assignment.copy()
+        # -1 and -4: unassigned; 1: an interior broker; num_nodes and
+        # 10**6: out of range; 0: the publisher.
+        corrupt = {2: -1, 5: 1, 7: problem.tree.num_nodes, 11: 0, 13: -4,
+                   17: 10**6}
+        for j, node in corrupt.items():
+            assignment[j] = node
+        bad = type(solution)(problem=problem, assignment=assignment,
+                             filters=solution.filters)
+        report = verify_solution(problem, bad)
+        unassigned = "not assigned to any leaf broker"
+
+        def not_leaf(node):
+            return f"assigned to node {node}, which is not a leaf broker"
+
+        assert [(v.check, v.subject, v.message, v.measured, v.limit)
+                for v in report.violations] == [
+            (CHECK_ASSIGNMENT, f"subscriber {j}", message, None, None)
+            for j, message in [(2, unassigned), (5, not_leaf(1)),
+                               (7, not_leaf(problem.tree.num_nodes)),
+                               (11, not_leaf(0)), (13, unassigned),
+                               (17, not_leaf(10**6))]]
+        assert report.lbf == 1.5333333333333334
+        assert report.max_delay_seen == 0.17742981287115334
+
     def test_shrunk_filter_breaks_nesting(self, small_problem, gr_solution):
         bad = corrupt_nesting(small_problem, gr_solution)
         report = verify_solution(small_problem, bad)
