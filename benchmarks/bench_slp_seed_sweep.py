@@ -7,7 +7,8 @@ instance at seeds 1-8, plus one small multilevel case (m=1,500,
 population seed 2, groups of at most 32, seed 6) that once needed 373 LP
 solves, and one-level SLP1 on the serve population (1,000 GoogleGroups
 H/L members, 8 brokers, population seed 7) at seeds 0-8.  It prints
-wall time, LP solves and bandwidth per run, checks every solution
+wall time, LP solves (and how many of them were infeasible ``Sb``
+draws) and bandwidth per run, checks every solution
 against the paper's invariants, and bounds the LP solves: their count
 is deterministic, so the bounds need no wall-clock budget.  A view that
 no filter can make load-feasible is accepted at its routing floor
@@ -59,17 +60,18 @@ def run(label, problem, seed, group_size=None):
     if group_size is None:
         algorithm = "SLP1"
         solution = slp1(problem, seed=seed)
-        lp_calls = solution.info["filter_assign"]["lp_calls"]
+        counts = solution.info["filter_assign"]
     else:
         algorithm = "SLP"
         solution = slp(problem, seed=seed, aggregation=AggregationConfig(
             max_group_size=group_size))
-        lp_calls = solution.info["lp_calls"]
+        counts = solution.info
     wall = time.perf_counter() - started
     report = verify_solution(problem, solution,
                              guaranteed_checks(algorithm, solution))
-    return [label, seed, round(wall, 2), lp_calls,
-            total_bandwidth(solution.filters), report.ok]
+    return [label, seed, round(wall, 2), counts["lp_calls"],
+            counts["lp_infeasible"], total_bandwidth(solution.filters),
+            report.ok]
 
 
 def compute():
@@ -84,13 +86,13 @@ def compute():
 def summary(rows):
     walls = [row[2] for row in rows]
     return (f"slowest / median wall: {max(walls) / np.median(walls):.2f}x; "
-            f"median bandwidth {np.median([row[4] for row in rows]):.4g}")
+            f"median bandwidth {np.median([row[5] for row in rows]):.4g}")
 
 
 def test_slp_seed_sweep(benchmark):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    headers = ["instance", "seed", "wall s", "LP solves", "bandwidth",
-               "verified"]
+    headers = ["instance", "seed", "wall s", "LP solves", "infeasible LPs",
+               "bandwidth", "verified"]
     sweep = rows[:len(SEEDS)]
     small = rows[len(SEEDS)]
     one_level = rows[len(SEEDS) + 1:]
@@ -99,7 +101,7 @@ def test_slp_seed_sweep(benchmark):
     emit(f"m=10000: {summary(sweep)}")
     emit(f"serve SLP1: {summary(one_level)}")
     emit_json("slp_seed_sweep", headers, rows)
-    assert all(row[5] for row in rows)
+    assert all(row[6] for row in rows)
     assert all(row[3] <= MAX_LP_CALLS for row in sweep)
     assert small[3] <= MAX_LP_CALLS_SMALL
     assert all(row[3] <= MAX_LP_CALLS_ONE_LEVEL for row in one_level)

@@ -81,6 +81,7 @@ def _distribute(view: SLPView, rng: np.random.Generator,
         outcome = assignment_outcome(view, preliminary)
         target_of = outcome.target_of
     info["lp_calls"] += preliminary.info.get("lp_calls", 0)
+    info["lp_infeasible"] += preliminary.info.get("lp_infeasible", 0)
     info["slp1_invocations"] += 1
     if preliminary.fractional_objective is not None:
         info["fractional_sum"] += preliminary.fractional_objective
@@ -137,6 +138,7 @@ def slp(problem: SAProblem, *, seed: int = 0, gamma: int = 0,
     info: dict[str, Any] = {
         "algorithm": "SLP",
         "lp_calls": 0,
+        "lp_infeasible": 0,
         "slp1_invocations": 0,
         "fractional_sum": 0.0,
         "fractional_levels": 0,

@@ -105,7 +105,8 @@ def _run_helper(view: SLPView, sample: np.ndarray, rng: np.random.Generator,
     of Sb makes the ... problem infeasible").  Every attempt solves one LP
     (FilterGen always includes the global MEB, so ``lp_relax`` never
     rejects a sample before solving) and is counted in
-    ``info["lp_calls"]``.
+    ``info["lp_calls"]``; an attempt whose LP is infeasible is also
+    counted in ``info["lp_infeasible"]``.
     """
     m = view.num_subscribers
     sb_size = min(config.sb_factor * view.num_targets, m)
@@ -131,6 +132,7 @@ def _run_helper(view: SLPView, sample: np.ndarray, rng: np.random.Generator,
         info["lp_calls"] += 1
         if outcome is not None:
             return outcome.filters, outcome.fractional_objective
+        info["lp_infeasible"] += 1
     return None
 
 
@@ -166,12 +168,13 @@ def assignment_outcome(view: SLPView,
 
 def _finish(result: FilterAssignResult,
             info: dict[str, Any]) -> FilterAssignResult:
-    """Stamp the run's final LP count on the result being returned.
+    """Stamp the run's final LP counts on the result being returned.
 
     A candidate's ``info`` is a snapshot taken when it was built; the
     solves made after that belong to the run all the same.
     """
     result.info["lp_calls"] = info["lp_calls"]
+    result.info["lp_infeasible"] = info["lp_infeasible"]
     return result
 
 
@@ -282,7 +285,8 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
     config = config or FilterAssignConfig()
     started = time.perf_counter()
     m = view.num_subscribers
-    info: dict[str, Any] = {"lp_calls": 0, "stages": 0, "iterations": 0}
+    info: dict[str, Any] = {"lp_calls": 0, "lp_infeasible": 0, "stages": 0,
+                            "iterations": 0}
 
     if not view.feasible.any(axis=0).all():
         # Some subscriber has no latency-feasible target at all; the SA

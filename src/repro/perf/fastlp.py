@@ -10,8 +10,9 @@ the extension module scipy bundles as ``scipy.optimize._highspy._core``,
 directly: it hands ``_Highs.passModel`` the same CSC arrays and bounds
 ``_linprog_highs`` builds (as numpy arrays, through the pointer
 overload), passes one ``HighsOptions`` holding the options scipy sets
-for ``method="highs"`` (built once, not re-validated per call), runs the
-solve, and reads the primal column and row values and the objective.
+for ``method="highs", options={"presolve": False}`` (built once, not
+re-validated per call), runs the solve, and reads the primal column and
+row values and the objective.
 The three pieces of scipy it would otherwise borrow are ported here
 verbatim: the infinity replacement, the HiGHS-to-scipy status table and
 ``linprog``'s post-solve bound/slack/NaN check.
@@ -22,8 +23,16 @@ per-column Python loop and ``getBasis`` call that build them), and the
 per-call option validation through ``HighsOptionsManager``.  HiGHS sees
 the same model and the same option values, so the solve is
 bit-identical to ``linprog(c, A_ub=a, b_ub=b, bounds=(0, 1),
-method="highs")``; ``tests/test_perf_fastlp.py`` checks this on every
-LP of a small aggregated SLP run, infeasible ones included.
+method="highs", options={"presolve": False})``;
+``tests/test_perf_fastlp.py`` checks this on every LP of a small
+aggregated SLP run, infeasible ones included.
+
+Presolve is off because on LPRelax's LPs it costs more than it saves:
+replaying the LPs of three SLP solves, HiGHS time fell 15-44% without
+it (EXPERIMENTS.md).  The LP is the same, so its status and optimal
+value are those of ``linprog``'s default (presolve on), which the tests
+also check; only the optimal vertex HiGHS returns may differ, and with
+it the rounding's random path.
 
 The core is loaded from its file in scipy's install, not imported
 through ``scipy.optimize``: that package's init loads every scipy
@@ -136,11 +145,12 @@ def _highs() -> SimpleNamespace | None:
         if core is None:
             return None
         # The options ``_highs_wrapper`` sets from the dict
-        # ``_linprog_highs`` builds for ``method="highs"`` with default
-        # solver options (it skips the None values and 'sense', and
-        # passes booleans for 'presolve' as "on"/"off").
+        # ``_linprog_highs`` builds for ``method="highs"`` with
+        # ``presolve=False`` and otherwise default solver options (it
+        # skips the None values and 'sense', and passes booleans for
+        # 'presolve' as "on"/"off").
         options = core.HighsOptions()
-        options.presolve = "on"
+        options.presolve = "off"
         options.highs_debug_level = \
             core.HighsDebugLevel.kHighsDebugLevelNone
         options.log_to_console = False
@@ -259,7 +269,7 @@ def _solve_with_linprog(cost: np.ndarray, a_ub: CSCMatrix,
     matrix = csc_array((a_ub.data, a_ub.indices, a_ub.indptr),
                        shape=a_ub.shape)
     res = linprog(cost, A_ub=matrix, b_ub=b_ub, bounds=(0.0, 1.0),
-                  method="highs")
+                  method="highs", options={"presolve": False})
     return LPResult(x=res.x, fun=res.fun, slack=res.slack,
                     status=res.status, message=res.message,
                     success=res.success, nit=res.nit)
@@ -267,7 +277,8 @@ def _solve_with_linprog(cost: np.ndarray, a_ub: CSCMatrix,
 
 def solve_bounded_lp(cost: np.ndarray, a_ub: Any,
                      b_ub: np.ndarray) -> LPResult:
-    """``linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")``.
+    """``linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
+    options={"presolve": False})``.
 
     ``a_ub`` is a :class:`CSCMatrix` or anything with a ``tocsc()``
     method returning scipy-style CSC arrays (a scipy sparse matrix);

@@ -8,7 +8,9 @@ gateway does funnels into a :class:`LiveBroker`.  The broker owns:
   re-optimizations, exactly the paper's deployment story);
 * an immutable :class:`RoutingTable` snapshot (assignment + broker
   filters) that ``publish`` reads and a re-optimization swaps
-  *atomically* — one reference assignment, never a half-updated tree;
+  *atomically* — one reference assignment, never a half-updated tree.
+  Churn only marks the table stale; the next read builds it, so a burst
+  of subscribes pays for one table, not one per operation;
 * one bounded FIFO :class:`DeliveryQueue` per active subscriber with
   drop accounting: when a subscriber's client cannot drain fast enough,
   the broker sheds its events instead of stalling the publish path
@@ -211,7 +213,9 @@ class LiveBroker:
         self.unsubscribes = 0
         self.shed_on_unsubscribe = 0  #: enqueued, then cleared by unsubscribe
         self.churn_since_reopt = 0
-        self._routing = self._build_routing(version=0)
+        #: one step per churn op and per committed re-optimization
+        self._routing_version = 0
+        self._routing: RoutingTable | None = None  #: None while stale
 
     # -- snapshots -----------------------------------------------------------
 
@@ -225,7 +229,16 @@ class LiveBroker:
 
     @property
     def routing(self) -> RoutingTable:
-        return self._routing
+        """The current table, built here if churn has made it stale."""
+        table = self._routing
+        if table is None:
+            table = self._routing = self._build_routing(self._routing_version)
+        return table
+
+    @property
+    def routing_version(self) -> int:
+        """The current table's version, without building a stale table."""
+        return self._routing_version
 
     @property
     def active_count(self) -> int:
@@ -239,8 +252,9 @@ class LiveBroker:
                             self._manager.current_filters(),
                             self._manager.assignment)
 
-    def _swap_routing(self) -> None:
-        self._routing = self._build_routing(self._routing.version + 1)
+    def _stale_routing(self) -> None:
+        self._routing_version += 1
+        self._routing = None
 
     # -- membership ----------------------------------------------------------
 
@@ -262,7 +276,7 @@ class LiveBroker:
         self._queues[j] = DeliveryQueue(j, self._queue_capacity)
         self.subscribes += 1
         self.churn_since_reopt += 1
-        self._swap_routing()
+        self._stale_routing()
         return leaf
 
     def unsubscribe(self, subscriber: Any) -> None:
@@ -276,7 +290,7 @@ class LiveBroker:
         queue.close()
         self.unsubscribes += 1
         self.churn_since_reopt += 1
-        self._swap_routing()
+        self._stale_routing()
 
     # -- publication ---------------------------------------------------------
 
@@ -344,7 +358,7 @@ class LiveBroker:
         Returns one list per entry of ``_COUNTS``, holding that count
         for each event.
         """
-        _, entered, match, deliver = self._routing.route(pts, self._matcher)
+        _, entered, match, deliver = self.routing.route(pts, self._matcher)
         n = pts.shape[0]
         self.node_entries += entered.sum(axis=1)
         self.published += n
@@ -390,12 +404,18 @@ class LiveBroker:
         ``precommit`` (see :meth:`DynamicPubSub.reoptimize`) may veto the
         new solution — the invariant gate — in which case the manager
         state and the routing table are left untouched.
+
+        The new table is built here, before it replaces the old one, so
+        a caller that runs this off the event loop (see
+        :meth:`~repro.serve.reoptimizer.Reoptimizer.reoptimize_now`)
+        leaves the loop a table to read at every moment.
         """
         info = self._manager.reoptimize(algorithm, precommit=precommit,
                                         **kwargs)
         if info.get("committed", True):
             self.churn_since_reopt = 0
-            self._swap_routing()
+            self._routing = self._build_routing(self._routing_version + 1)
+            self._routing_version += 1
         return info
 
     # -- stats ---------------------------------------------------------------
@@ -422,6 +442,6 @@ class LiveBroker:
             "unsubscribes": self.unsubscribes,
             "shed_on_unsubscribe": self.shed_on_unsubscribe,
             "churn_since_reopt": self.churn_since_reopt,
-            "routing_version": self._routing.version,
+            "routing_version": self._routing_version,
             "queue_depth_peak": max((q.peak for q in queues), default=0),
         }

@@ -412,7 +412,7 @@ class ServeDaemon:
                 conn.subscribers.add(j)
                 self.broker.queue(j).bind(conn.mark_ready)
             return protocol.reply(request, subscriber=j, leaf=leaf,
-                                  routing_version=self.broker.routing.version)
+                                  routing_version=self.broker.routing_version)
         if op == "unsubscribe":
             j = _field(request, "subscriber")
             async with self.churn_lock:

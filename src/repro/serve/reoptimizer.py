@@ -109,6 +109,10 @@ class Reoptimizer:
         kwargs = ({"seed": config.seed}
                   if config.algorithm in LP_ALGORITHMS else {})
         async with self._lock:
+            # Build any table churn left stale here, on the loop: once
+            # the worker starts rewriting the manager's state, a publish
+            # must find a table to read rather than build one from it.
+            self._broker.routing
             solve = asyncio.ensure_future(asyncio.to_thread(
                 self._broker.reoptimize, config.algorithm,
                 precommit=self._validator, **kwargs))
@@ -136,7 +140,7 @@ class Reoptimizer:
             logger.warning(
                 "re-optimization rejected by invariant verification "
                 "(keeping routing table v%d): %s",
-                self._broker.routing.version, self.last_report or "vetoed")
+                self._broker.routing_version, self.last_report or "vetoed")
         return info
 
     # -- stats ---------------------------------------------------------------

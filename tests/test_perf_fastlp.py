@@ -1,10 +1,12 @@
 """Tests for the direct-HiGHS LP path (repro.perf.fastlp).
 
 ``solve_bounded_lp`` must be indistinguishable from
-``linprog(..., bounds=(0, 1), method="highs")`` — same optimum, same
-floats — because LPRelax's downstream rounding consumes the solution
-vector verbatim and the reproduction's fixed-seed results are compared
-bit-for-bit.
+``linprog(..., bounds=(0, 1), method="highs", options={"presolve":
+False})`` — same optimum, same floats — because LPRelax's downstream
+rounding consumes the solution vector verbatim and the reproduction's
+fixed-seed results are compared bit-for-bit.  Against ``linprog``'s
+default (presolve on) only the vertex may differ: the status and the
+optimal value, the paper's lower bound, must not.
 """
 
 import importlib
@@ -37,13 +39,18 @@ def random_lp(seed, num_vars=30, num_rows=40, density=0.3):
     return cost, sparse.coo_matrix(a), b
 
 
+def reference(cost, a_ub, b_ub, presolve=False):
+    """``linprog`` on the LP ``solve_bounded_lp`` solves."""
+    return linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0),
+                   method="highs", options={"presolve": presolve})
+
+
 class TestAgainstLinprog:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_linprog_exactly(self, seed):
         cost, a_ub, b_ub = random_lp(seed)
         fast = solve_bounded_lp(cost, a_ub, b_ub)
-        ref = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                      bounds=(0.0, 1.0), method="highs")
+        ref = reference(cost, a_ub, b_ub)
         assert fast.success == ref.success
         assert fast.status == ref.status
         assert fast.fun == ref.fun
@@ -55,8 +62,7 @@ class TestAgainstLinprog:
         a_ub = sparse.coo_matrix(np.array([[-1.0]]))
         b_ub = np.array([-2.0])
         fast = solve_bounded_lp(cost, a_ub, b_ub)
-        ref = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                      bounds=(0.0, 1.0), method="highs")
+        ref = reference(cost, a_ub, b_ub)
         assert not fast.success
         assert fast.status == ref.status == 2
 
@@ -97,8 +103,7 @@ def test_matches_linprog_on_every_slp_lp(slp_lps):
     statuses = []
     for cost, a_ub, b_ub in slp_lps:
         fast = solve_bounded_lp(cost, a_ub, b_ub)
-        ref = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                      bounds=(0.0, 1.0), method="highs")
+        ref = reference(cost, a_ub, b_ub)
         assert fast.status == ref.status
         assert fast.success == ref.success
         assert fast.fun == ref.fun
@@ -109,6 +114,19 @@ def test_matches_linprog_on_every_slp_lp(slp_lps):
         statuses.append(fast.status)
     assert 0 in statuses
     assert 2 in statuses  # infeasible
+
+
+def test_presolve_keeps_the_lower_bound(slp_lps):
+    # Presolve changes how HiGHS reaches the optimum, not the LP: with it
+    # on (``linprog``'s default) every SLP LP has the same status and the
+    # same optimal value, the fractional lower bound SLP reports.  Only
+    # the optimal vertex may differ.
+    for cost, a_ub, b_ub in slp_lps:
+        fast = solve_bounded_lp(cost, a_ub, b_ub)
+        ref = reference(cost, a_ub, b_ub, presolve=True)
+        assert fast.status == ref.status
+        if ref.status == 0:
+            assert fast.fun == pytest.approx(ref.fun, rel=1e-9)
 
 
 def test_fast_path_available_on_this_scipy():
@@ -153,7 +171,7 @@ assert _core is core
 cost, a_ub, b_ub = solved[-1]
 matrix = csc_matrix((a_ub.data, a_ub.indices, a_ub.indptr), shape=a_ub.shape)
 ref = linprog(cost, A_ub=matrix, b_ub=b_ub, bounds=(0.0, 1.0),
-              method="highs")
+              method="highs", options={"presolve": False})
 fast = fastlp.solve_bounded_lp(cost, a_ub, b_ub)
 assert ref.status == fast.status == 0
 assert ref.fun == fast.fun

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.serve import DeliveryQueue, LiveBroker
-from repro.workloads import GridConfig, generate_grid, one_level_problem
+from repro.serve import broker as broker_module
+from repro.workloads import (
+    GoogleGroupsConfig,
+    GridConfig,
+    generate_google_groups,
+    generate_grid,
+    one_level_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +165,38 @@ class TestBrokerStateMachine:
             assert broker.routing.version == v0 + 2
             # The old snapshot is untouched by the swap.
             assert table.assignment[0] >= 0
+
+        run(body())
+
+    def test_churn_burst_builds_one_table(self, monkeypatch):
+        # Churn marks the table stale; only the next read builds it, so
+        # a burst of 1,000 subscribes and one publish build one table.
+        workload = generate_google_groups(7, GoogleGroupsConfig(
+            num_subscribers=1000, num_brokers=8, interest_skew="H",
+            broad_interests="L"))
+        population = one_level_problem(workload)
+        built = []
+
+        class CountedTable(broker_module.RoutingTable):
+            def __init__(self, version, *args):
+                built.append(version)
+                super().__init__(version, *args)
+
+        monkeypatch.setattr(broker_module, "RoutingTable", CountedTable)
+
+        async def body():
+            broker = LiveBroker(population)
+            for j in range(1000):
+                broker.subscribe(j)
+            assert built == []
+            assert broker.routing_version == 1000
+            summary = broker.publish(sub_center(population, 0))
+            assert summary["delivered"] >= 1
+            assert built == [1000]
+            assert broker.stats()["routing_version"] == 1000
+            assert broker.routing.version == 1000
+            assert (broker.routing.assignment >= 0).all()
+            assert built == [1000]
 
         run(body())
 

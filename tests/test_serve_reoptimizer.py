@@ -87,6 +87,33 @@ class TestTriggering:
 
         run(body())
 
+    def test_stale_table_is_built_before_the_solve(self, problem,
+                                                   monkeypatch):
+        # Churn leaves the table stale.  The solve rewrites the manager's
+        # state on a worker thread, so the loop must already hold a
+        # table built from the pre-solve state for publishes to read.
+        async def body():
+            broker, reopt = make_reoptimizer(problem)
+            for j in range(10):
+                broker.subscribe(j)
+            version = broker.routing_version
+            solve = broker.reoptimize
+            seen = []
+
+            def checked(*args, **kwargs):
+                seen.append(broker._routing)
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(broker, "reoptimize", checked)
+            info = await reopt.reoptimize_now()
+            assert info["committed"] is True
+            [table] = seen
+            assert table is not None and table.version == version
+            assert (table.assignment >= 0).sum() == 10
+            assert broker.routing.version == version + 1
+
+        run(body())
+
 
 class TestInvariantGate:
     def test_default_validator_verifies_and_commits(self, problem):

@@ -23,6 +23,21 @@ design; both runs still pass ``verify_solution``:
 
 The aggregated multilevel digest did not move: none of its views has
 an iteration without a valid draw.
+
+All three were re-pinned when LPRelax began solving with HiGHS's
+presolve off.  The LPs and their optimal values are unchanged, but HiGHS
+returns a different optimal vertex, so the rounding RNG takes a
+different path; every run still passes ``verify_solution``:
+
+* one-level SLP1: 16 LP solves became 17, still accepted at ``g=8``;
+  bandwidth 4,913,803 -> 5,382,610;
+* aggregated multilevel: 43 LP solves became 32; bandwidth
+  14,688,948 -> 16,062,222;
+* global rebalance: at rounding seed 6 the recursion now needs no
+  leaf-level repair (313 LP solves became 65, no ``rebalanced`` count,
+  bandwidth 24,110,146 -> 26,004,226), so the test moved to rounding
+  seed 2, the first of seeds 1-8 whose rebalance moves subscribers
+  (105 LP solves, ``rebalanced`` 88, bandwidth 23,518,248).
 """
 
 import importlib
@@ -48,8 +63,8 @@ def test_slp1_one_level_digest():
         6, GoogleGroupsConfig(num_subscribers=M, num_brokers=8))
     solution = slp1(one_level_problem(workload), seed=6)
     assert solution_digest(solution) == \
-        "ad06923b7c7507531fcb98e7b27c231fe80d4d36f0209cf26347eb4558bd6334"
-    assert total_bandwidth(solution.filters) == 4913802.748210676
+        "a742da6e9c086eb9c621d26c1ba88e82a264d55164de0e38b25a816ca2217855"
+    assert total_bandwidth(solution.filters) == 5382610.278600453
 
 
 def test_slp_multilevel_aggregated_digest():
@@ -60,25 +75,26 @@ def test_slp_multilevel_aggregated_digest():
                    aggregation=AggregationConfig(max_group_size=32))
     assert solution.info["aggregated_levels"] >= 1
     assert solution_digest(solution) == \
-        "76e8279e43d083a002ea2d295efadf55d9974b8ddf67b9c6206460fdaf45be3d"
-    assert total_bandwidth(solution.filters) == 14688947.699932316
+        "d482cfdbf87452ff5c097da46d3720b7bb7e854fd590908ee4ad58b1d6501632"
+    assert total_bandwidth(solution.filters) == 16062222.152251681
 
 
 def test_slp_multilevel_global_rebalance_digest():
     workload = generate_google_groups(
         2, GoogleGroupsConfig(num_subscribers=4_000, num_brokers=64))
     problem = multilevel_problem(workload, max_out_degree=8, seed=2)
-    solution = slp(problem, seed=6,
+    solution = slp(problem, seed=2,
                    aggregation=AggregationConfig(max_group_size=32))
     assert solution.info["rebalanced"] > 0
     assert solution_digest(solution) == \
-        "8cca5890181e0a4d89a474e3fe6e1a56c8ee68ef4bc022046fd3febfd21f88bf"
-    assert total_bandwidth(solution.filters) == 24110146.192026254
+        "c7b216375cd062845a200316bfc25667a419548e586d60f93cd09b26579215c7"
+    assert total_bandwidth(solution.filters) == 23518248.4177363
 
 
 @pytest.mark.parametrize("seed", (2, 5))
 def test_lp_calls_counts_every_solve(monkeypatch, seed):
-    """``info["lp_calls"]`` is the number of LPs actually solved.
+    """``info["lp_calls"]`` is the number of LPs actually solved, and
+    ``info["lp_infeasible"]`` the number of those that were infeasible.
 
     On these seeds a helper retries with a fresh ``Sb`` and a candidate
     is built before later solves, which the count once missed.
@@ -88,9 +104,11 @@ def test_lp_calls_counts_every_solve(monkeypatch, seed):
     solves = []
 
     def counted(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
+        result = solve(*args, **kwargs)
+        solves.append(result.success)
+        return result
 
     monkeypatch.setattr(lp_relax, "solve_bounded_lp", counted)
     solution = slp(multilevel(seed), seed=seed, aggregation=FORCED)
     assert solution.info["lp_calls"] == len(solves) > 0
+    assert solution.info["lp_infeasible"] == solves.count(False)
