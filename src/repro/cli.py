@@ -67,7 +67,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import statistics
 import sys
 import time
 from collections.abc import Sequence
@@ -81,14 +80,13 @@ from .analyze import (
     run_analysis,
     write_baseline,
 )
-from .bench.harness import run_metadata
 from .bench.tables import format_table
 from .core.registry import algorithm_names, get_algorithm
 from .core.slp import AggregationConfig
 from .dynamic import DynamicPubSub, generate_churn_trace
 from .metrics import evaluate_solution, runtime_report_rows, total_bandwidth
 from .perf.profiler import profiled
-from .perf.regression import calibrate, check_regression
+from .perf.regression import GatedRun, add_gate_arguments
 from .pubsub import UniformEvents, simulate_dissemination
 from .runtime import (
     BrokerOutage,
@@ -440,10 +438,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     fn = get_algorithm(args.algorithm)
     kwargs = _algorithm_kwargs(args, args.algorithm)
 
-    # The host's speed drifts within a run, so the kernel is timed before
-    # the first repeat and after every repeat; the gate normalizes by the
-    # median reading.
-    calibrations = [calibrate()]
+    gate = GatedRun(args)
     best_elapsed = None
     best_profiler = None
     best_solution = None
@@ -452,11 +447,10 @@ def _command_profile(args: argparse.Namespace) -> int:
             started = time.perf_counter()
             solution = fn(problem, **kwargs)
             elapsed = time.perf_counter() - started
-        calibrations.append(calibrate())
+        gate.reading()
         if best_elapsed is None or elapsed < best_elapsed:
             best_elapsed, best_profiler = elapsed, profiler
             best_solution = solution
-    calibration = statistics.median(calibrations)
 
     report = evaluate_solution(args.algorithm, best_solution,
                                runtime_seconds=best_elapsed)
@@ -473,8 +467,6 @@ def _command_profile(args: argparse.Namespace) -> int:
         "aggregate": args.aggregate,
         "repeats": args.repeats,
         "total_seconds": best_elapsed,
-        "calibration_seconds": calibration,
-        "calibration_readings": calibrations,
         "stages": [stage.as_dict() for stage in stages],
         "metrics": {
             "bandwidth": report.bandwidth,
@@ -482,7 +474,6 @@ def _command_profile(args: argparse.Namespace) -> int:
             "lbf": report.lbf,
             "feasible": report.feasible,
         },
-        "metadata": run_metadata(),
     }
 
     accounted = sum(stage.seconds for stage in stages)
@@ -494,29 +485,9 @@ def _command_profile(args: argparse.Namespace) -> int:
     rows.append(["total", "-", round(best_elapsed, 4), 1.0])
     print(f"{args.algorithm} on {args.workload} "
           f"(m={args.subscribers}, |B|={args.brokers}, "
-          f"best of {args.repeats}; calibration {calibration:.4f}s, "
-          f"median of {len(calibrations)})")
+          f"best of {args.repeats})")
     print(format_table(["stage", "calls", "seconds", "share"], rows))
-
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"profile written to {args.json}")
-
-    if args.check_against:
-        with open(args.check_against, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        regression = check_regression(payload, baseline,
-                                      tolerance=args.tolerance)
-        print(format_table(
-            ["stage", "baseline(norm)", "current(norm)", "ratio", "verdict"],
-            [comparison.as_row() for comparison in regression.comparisons]))
-        if not regression.ok:
-            print("perf regression: "
-                  + ", ".join(regression.regressed_stages), file=sys.stderr)
-            return 3
-    return 0
+    return gate.finish(payload)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -766,13 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=algorithm_names())
     profile.add_argument("--repeats", type=int, default=3,
                          help="profiled runs; the fastest is reported")
-    profile.add_argument("--json", default=None, metavar="PATH",
-                         help="export the profile payload as JSON")
-    profile.add_argument("--check-against", default=None, metavar="BASELINE",
-                         help="compare against a committed profile payload; "
-                              "exit 3 on regression")
-    profile.add_argument("--tolerance", type=float, default=0.30,
-                         help="allowed normalized growth per gated stage")
+    add_gate_arguments(profile, tolerance=0.30, time_budget=False)
     profile.set_defaults(handler=_command_profile)
 
     serve = subparsers.add_parser(

@@ -107,7 +107,7 @@ class AggregatedDistribution:
 
     target_of: np.ndarray           #: (m,) per-subscriber target row
     fractional_objective: float | None
-    aggregation: Aggregation
+    aggregation: Aggregation | None  #: None when run unaggregated
     preliminary: FilterAssignResult
     outcome: AssignmentOutcome      #: group-level (or member-level) flow
     info: dict[str, Any] = field(default_factory=dict)
@@ -293,17 +293,19 @@ def distribute_aggregated(view: SLPView, rng: np.random.Generator,
                           config: FilterAssignConfig | None = None,
                           aggregation: AggregationConfig | None = None,
                           ) -> AggregatedDistribution:
-    """One SLP1 core run (FilterAssign + assignment) with aggregation.
+    """One SLP1 core run (FilterAssign + assignment), optionally aggregated.
 
-    When the aggregation is the identity this runs exactly the
-    unaggregated pipeline — same calls, same spans, same RNG stream —
-    so threshold-0 runs are bit-identical to it.
+    ``aggregation=None`` runs the unaggregated pipeline: no ``aggregate``
+    span, no partition, and an empty ``info``.  An identity aggregation
+    runs exactly that pipeline too — same calls, same spans, same RNG
+    stream — so threshold-0 runs are bit-identical to it.
     """
-    agg_config = aggregation or AggregationConfig()
-    with span("aggregate"):
-        agg = aggregate_subscriptions(view, agg_config, rng)
+    agg = None
+    if aggregation is not None:
+        with span("aggregate"):
+            agg = aggregate_subscriptions(view, aggregation, rng)
 
-    if agg.is_identity:
+    if agg is None or agg.is_identity:
         preliminary = filter_assign(view, rng, config)
         outcome = assignment_outcome(view, preliminary)
         return AggregatedDistribution(
@@ -312,7 +314,8 @@ def distribute_aggregated(view: SLPView, rng: np.random.Generator,
             aggregation=agg,
             preliminary=preliminary,
             outcome=outcome,
-            info={"groups": agg.num_groups, "identity": True},
+            info={} if agg is None
+            else {"groups": agg.num_groups, "identity": True},
         )
 
     agg_view = SLPView(

@@ -28,6 +28,7 @@ import numpy as np
 from ...geometry import RectSet
 from ...perf.fastlp import CSCMatrix, solve_bounded_lp
 from ...perf.profiler import span
+from .assign_flow import _grouped_ranges
 
 __all__ = ["LPOutcome", "lp_relax"]
 
@@ -58,13 +59,6 @@ def _coverage_possible(feasible: np.ndarray, contain: np.ndarray) -> np.ndarray:
     # one feasible broker and one containing rectangle (any broker may take
     # any rectangle, so the conditions separate).
     return feasible.any(axis=0) & contain.any(axis=0)
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """``[0..c_0), [0..c_1), ...`` concatenated, for grouped gathers."""
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    return np.arange(total) - np.repeat(starts, counts)
 
 
 def _assemble_constraints(feasible: np.ndarray, sb_mask: np.ndarray,
@@ -138,7 +132,7 @@ def _assemble_constraints(feasible: np.ndarray, sb_mask: np.ndarray,
     c4_pos_rows = row + np.arange(num_x)
     c4_pos_cols = num_y + np.arange(num_x)
     gather = np.repeat(rect_offsets[pair_sub], rects_per_pair) \
-        + _ranges(rects_per_pair)
+        + _grouped_ranges(rects_per_pair)
     c4_neg_rows = np.repeat(c4_pos_rows, rects_per_pair)
     c4_neg_cols = np.repeat(pair_broker, rects_per_pair) * u + nz_rect[gather]
     row += num_x

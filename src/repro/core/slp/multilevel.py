@@ -32,7 +32,7 @@ from ...perf.profiler import span
 from ..problem import SAProblem, SASolution, filters_from_assignment
 from .aggregate import AggregationConfig, distribute_aggregated
 from .assign_flow import _coverer_lists, repair_loads
-from .sampling import FilterAssignConfig, assignment_outcome, filter_assign
+from .sampling import FilterAssignConfig
 from .view import SLPView
 
 __all__ = ["slp"]
@@ -67,19 +67,13 @@ def _distribute(view: SLPView, rng: np.random.Generator,
                 info: dict[str, Any],
                 aggregation: AggregationConfig | None = None) -> np.ndarray:
     """One SLP1 core run on a view; returns the target row per subscriber."""
-    if aggregation is not None:
-        dist = distribute_aggregated(view, rng, config, aggregation)
-        preliminary = dist.preliminary
-        outcome = dist.outcome
-        target_of = dist.target_of
-        if not dist.info.get("identity", True):
-            info["aggregated_levels"] = info.get("aggregated_levels", 0) + 1
-            info["aggregated_groups"] = info.get("aggregated_groups", 0) \
-                + dist.info["groups"]
-    else:
-        preliminary = filter_assign(view, rng, config)
-        outcome = assignment_outcome(view, preliminary)
-        target_of = outcome.target_of
+    dist = distribute_aggregated(view, rng, config, aggregation)
+    preliminary = dist.preliminary
+    outcome = dist.outcome
+    if not dist.info.get("identity", True):
+        info["aggregated_levels"] = info.get("aggregated_levels", 0) + 1
+        info["aggregated_groups"] = info.get("aggregated_groups", 0) \
+            + dist.info["groups"]
     info["lp_calls"] += preliminary.info.get("lp_calls", 0)
     info["lp_infeasible"] += preliminary.info.get("lp_infeasible", 0)
     info["slp1_invocations"] += 1
@@ -90,7 +84,7 @@ def _distribute(view: SLPView, rng: np.random.Generator,
         info["fallbacks"] += 1
     if not outcome.feasible:
         info["infeasible_levels"] += 1
-    return target_of
+    return dist.target_of
 
 
 def _global_rebalance(problem: SAProblem, assignment: np.ndarray,

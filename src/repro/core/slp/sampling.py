@@ -47,23 +47,28 @@ from .view import SLPView
 __all__ = ["FilterAssignConfig", "FilterAssignResult", "assignment_outcome",
            "filter_assign", "prune_redundant_rects"]
 
+#: Starting certificate-size guess ``g``.
+INITIAL_G = 4
+#: Per-stage budget ``ITERATION_FACTOR * g * ln(m / g)`` (Lemma 2).
+ITERATION_FACTOR = 4.0
+#: Fresh-``Sb`` LP attempts inside the helper.
+HELPER_RETRIES = 3
+#: Practical per-stage cap: the paper's budget grows with ``g``; capping
+#: it forces ``g`` to double sooner, which grows the sample — the
+#: productive direction when coverage stalls, e.g. on topic-based
+#: workloads with many distinct cells.
+MAX_STAGE_ITERATIONS = 12
+
 
 @dataclass(frozen=True)
 class FilterAssignConfig:
     """Tunables of Algorithm 1 (defaults are the paper's settings)."""
 
     eps: float = 0.1                   #: expansion/violation tolerance
-    initial_g: int = 4                 #: starting certificate-size guess
     sample_factor: float = 10.0        #: q = sample_factor * g * ln(g)
     sb_factor: int = 10                #: |Sb| = sb_factor * num_targets
-    iteration_factor: float = 4.0      #: budget = iteration_factor * g * ln(m/g)
     max_invalid_retries: int = 8       #: "repeat until valid" cap; an
     #: iteration that reaches it without a valid draw doubles g
-    helper_retries: int = 3            #: fresh-Sb retries inside the helper
-    max_stage_iterations: int = 12     #: practical per-stage cap (paper's
-    #: per-stage budget grows with g; capping it forces g to double sooner,
-    #: which grows the sample — the productive direction when coverage
-    #: stalls, e.g. on topic-based workloads with many distinct cells)
     max_total_iterations: int = 72     #: global cap across all stages
     require_load_feasible: bool = True  #: fold load balance into acceptance
     filtergen: FilterGenConfig = field(default_factory=FilterGenConfig)
@@ -113,8 +118,8 @@ def _run_helper(view: SLPView, sample: np.ndarray, rng: np.random.Generator,
     # The C3 budget starts at the desired lbf and escalates toward the hard
     # cap across retries: an Sb draw (or the instance itself) may be
     # load-infeasible at beta while perfectly solvable within beta_max.
-    betas = np.linspace(view.beta, view.beta_max, config.helper_retries)
-    for attempt in range(config.helper_retries):
+    betas = np.linspace(view.beta, view.beta_max, HELPER_RETRIES)
+    for attempt in range(HELPER_RETRIES):
         sb = rng.choice(m, size=sb_size, replace=False)
         sa = np.union1d(sample, sb)
         sb_mask = np.isin(sa, sb)
@@ -299,7 +304,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
     floor: int | None = None      #: routing_floor(view), once needed
     consecutive_helper_failures = 0
 
-    g = min(config.initial_g, m)
+    g = min(INITIAL_G, m)
     while g <= m and info["iterations"] < config.max_total_iterations:
         info["stages"] += 1
         # Reweighted-sampling weights; weighted views start from their
@@ -307,9 +312,9 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
         # with the probability their members would have had.
         weights = np.ones(m) if view.weights is None \
             else view.weights.astype(float).copy()
-        budget = max(1, math.ceil(config.iteration_factor * g
+        budget = max(1, math.ceil(ITERATION_FACTOR * g
                                   * math.log(max(m / g, math.e))))
-        budget = min(budget, config.max_stage_iterations)
+        budget = min(budget, MAX_STAGE_ITERATIONS)
         for _iteration in range(budget):
             if info["iterations"] >= config.max_total_iterations:
                 break
@@ -327,7 +332,7 @@ def filter_assign(view: SLPView, rng: np.random.Generator,
                     # after several failures in a row.
                     consecutive_helper_failures += 1
                     info["helper_failures"] = info.get("helper_failures", 0) + 1
-                    if consecutive_helper_failures >= config.helper_retries * 2:
+                    if consecutive_helper_failures >= HELPER_RETRIES * 2:
                         return _finish(best, info) if best is not None \
                             else _fallback(view, started, info)
                     continue

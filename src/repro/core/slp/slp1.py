@@ -29,12 +29,7 @@ from ...perf.profiler import span
 from ..problem import SAProblem, SASolution
 from .adjust import adjust_filters
 from .aggregate import AggregationConfig, distribute_aggregated
-from .sampling import (
-    FilterAssignConfig,
-    FilterAssignResult,
-    assignment_outcome,
-    filter_assign,
-)
+from .sampling import FilterAssignConfig
 from .view import view_from_problem
 
 __all__ = ["slp1"]
@@ -59,44 +54,25 @@ def slp1(problem: SAProblem, *, seed: int = 0,
     rng = np.random.default_rng(seed)
     view = view_from_problem(problem)
 
-    if aggregation is not None:
-        dist = distribute_aggregated(view, rng, config, aggregation)
-        target_of = dist.target_of
-        fractional = dist.fractional_objective
-        filter_assign_info = dist.preliminary.info
-        assignment_info = dist.outcome.info
-        achieved_beta = dist.outcome.achieved_beta
-        flow_feasible = dist.outcome.feasible
-        aggregation_info = dist.info
-    else:
-        preliminary: FilterAssignResult = filter_assign(view, rng, config)
-        outcome = assignment_outcome(view, preliminary)
-        target_of = outcome.target_of
-        fractional = preliminary.fractional_objective
-        filter_assign_info = preliminary.info
-        assignment_info = outcome.info
-        achieved_beta = outcome.achieved_beta
-        flow_feasible = outcome.feasible
-        aggregation_info = None
-
-    assignment = problem.tree.leaves[target_of]
+    dist = distribute_aggregated(view, rng, config, aggregation)
+    assignment = problem.tree.leaves[dist.target_of]
     with span("adjust"):
         filters = adjust_filters(problem, assignment, rng)
 
     info = {
         "algorithm": "SLP1",
         "runtime_seconds": time.perf_counter() - started,
-        "achieved_beta": achieved_beta,
-        "flow_feasible": flow_feasible,
-        "filter_assign": filter_assign_info,
-        "assignment": assignment_info,
+        "achieved_beta": dist.outcome.achieved_beta,
+        "flow_feasible": dist.outcome.feasible,
+        "filter_assign": dist.preliminary.info,
+        "assignment": dist.outcome.info,
     }
-    if aggregation_info is not None:
-        info["aggregation"] = aggregation_info
+    if aggregation is not None:
+        info["aggregation"] = dist.info
     return SASolution(
         problem=problem,
         assignment=assignment,
         filters=filters,
-        fractional_bandwidth=fractional,
+        fractional_bandwidth=dist.fractional_objective,
         info=info,
     )

@@ -11,13 +11,22 @@ relative to what the hardware can do.
 
 :func:`check_regression` compares a current profile payload against a
 baseline and flags any stage (and the total) whose normalized cost grew
-beyond the tolerance; ``python -m repro profile --check-against`` exits
-non-zero on a flagged comparison, which is what the CI perf-smoke job
-keys off.
+beyond the tolerance.
+
+:class:`GatedRun` is the one driver every gated command shares
+(``python -m repro profile``, ``benchmarks/bench_event_plane.py`` and
+``benchmarks/bench_slp_scale.py``): :func:`add_gate_arguments` gives a
+command the ``--json`` / ``--check-against`` / ``--tolerance`` (and
+``--time-budget``) flags, and the run takes the calibration readings,
+writes the payload and returns the gate's exit status — 3 on a
+regression, 4 over the time budget.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -25,8 +34,8 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["RegressionReport", "StageComparison", "calibrate",
-           "check_regression"]
+__all__ = ["GatedRun", "RegressionReport", "StageComparison",
+           "add_gate_arguments", "calibrate", "check_regression"]
 
 #: Stages whose baseline share of the total is below this fraction are
 #: reported but never flagged: sub-millisecond stages are all jitter.
@@ -134,3 +143,90 @@ def check_regression(current: Mapping[str, Any],
             gated=gated, regressed=regressed))
     return RegressionReport(comparisons=tuple(comparisons),
                             tolerance=tolerance)
+
+
+def add_gate_arguments(parser: argparse.ArgumentParser, *, tolerance: float,
+                       time_budget: bool = True) -> None:
+    """Add the gate's flags to a command (see :class:`GatedRun`)."""
+    parser.add_argument("--json", default=None, metavar="PATH",
+                        help="write the payload here as JSON")
+    parser.add_argument("--check-against", default=None, metavar="BASELINE",
+                        help="compare against a committed payload; exit 3 "
+                             "on regression")
+    parser.add_argument("--tolerance", type=float, default=tolerance,
+                        help="allowed normalized growth per gated stage")
+    if time_budget:
+        parser.add_argument("--time-budget", type=float, default=None,
+                            metavar="SECONDS",
+                            help="exit 4 when the measured run exceeds "
+                                 "this wall-clock")
+
+
+class GatedRun:
+    """One gated measurement: calibration readings, payload, exit status.
+
+    Creating it loads ``--check-against``'s baseline (as
+    :attr:`baseline`) and takes the first calibration reading; the caller
+    then calls :meth:`reading` after each measured stage or repeat, and
+    :meth:`finish` with its payload.  The host's speed drifts within a
+    run, so the payload is normalized by the *median* reading.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.baseline: dict[str, Any] | None = None
+        if args.check_against:
+            with open(args.check_against, encoding="utf-8") as fh:
+                self.baseline = json.load(fh)
+        self.readings = [calibrate()]
+        self._calibrating = 0.0
+        self._started = time.perf_counter()
+
+    def reading(self) -> None:
+        """Take one calibration reading (its time is not the run's)."""
+        started = time.perf_counter()
+        self.readings.append(calibrate())
+        self._calibrating += time.perf_counter() - started
+
+    def finish(self, payload: dict[str, Any]) -> int:
+        """Stamp, write and gate ``payload``; return 0, 3 or 4.
+
+        ``payload`` needs ``total_seconds`` and ``stages`` (see
+        :func:`check_regression`); this adds the calibration and the
+        run's ``metadata``.
+        """
+        # repro.bench imports the solvers, which import repro.perf.
+        from ..bench.harness import run_metadata
+        from ..bench.tables import format_table
+
+        elapsed = time.perf_counter() - self._started - self._calibrating
+        calibration = float(np.median(self.readings))
+        payload.update(calibration_seconds=calibration,
+                       calibration_readings=self.readings,
+                       metadata=run_metadata())
+        print(f"calibration {calibration:.4f}s, median of "
+              f"{len(self.readings)} readings")
+        if self.args.json:
+            with open(self.args.json, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            print(f"payload written to {self.args.json}")
+
+        status = 0
+        if self.baseline is not None:
+            regression = check_regression(payload, self.baseline,
+                                          tolerance=self.args.tolerance)
+            print(format_table(
+                ["stage", "baseline(norm)", "current(norm)", "ratio",
+                 "verdict"],
+                [comparison.as_row() for comparison in regression.comparisons]))
+            if not regression.ok:
+                print("perf regression: "
+                      + ", ".join(regression.regressed_stages), file=sys.stderr)
+                status = 3
+        budget = getattr(self.args, "time_budget", None)
+        if budget is not None and elapsed > budget:
+            print(f"error: the run took {elapsed:.1f}s, over the "
+                  f"--time-budget gate ({budget:.1f}s)", file=sys.stderr)
+            status = 4
+        return status
